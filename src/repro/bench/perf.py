@@ -12,8 +12,8 @@ leave a tracked trail:
   end, before (explicit two-pass profile/features) vs after (the shared
   ``executor.analyze`` scan).
 * **batched estimate** — the cost-model fleet sweep: a per-pair loop
-  of :func:`repro.gpu.kernels.estimate_time` vs one vectorised
-  :func:`repro.gpu.batch.estimate_batch` call over the same N×F
+  of :func:`repro.gpu.kernels.estimate_time` (each call a batch of one)
+  vs one :func:`repro.gpu.batch.estimate_batch` call over the same N×F
   (matrices × formats) grid.
 * **tree fit / boosting fit** — ``presort=False`` (the historical
   per-node sorting implementation) vs ``presort=True`` (root presort +
@@ -162,9 +162,12 @@ def _bench_labeling(
 def _bench_batched_estimate(matrices: Sequence, repeats: int) -> Dict:
     """Cost-model sweep: per-pair ``estimate_time`` loop vs one batch.
 
-    Profiling is hoisted out of both sides (the batch API takes
-    profiles too), so the number isolates the model evaluation itself —
-    the part ``benchmark_batch`` and campaign labeling now vectorise.
+    Both sides run the same models: each ``estimate_time`` call is a
+    batch of one, so the "before" side pays the per-call packing and
+    dispatch N×F times.  Profiling is hoisted out of both sides (the
+    batch API takes profiles too), so the number isolates model
+    evaluation — the part ``benchmark_batch`` and campaign labeling
+    vectorise.
     """
     from ..gpu import DEVICES, ProfileBatch, estimate_batch, profile_matrix
     from ..gpu.kernels import KERNEL_MODELS, estimate_time

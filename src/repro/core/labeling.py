@@ -16,10 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
 
+from .. import tuning
 from ..features import extract_features
 from ..formats import FORMAT_NAMES, SparseFormat
 from ..gpu import MatrixProfile, SpMVExecutor
-from ..gpu.kernels import KERNEL_MODELS
 
 from ..config import DEFAULT_REPS  # noqa: F401  (canonical home: repro.config)
 
@@ -113,24 +113,11 @@ def label_matrix(
     times: Dict[str, float] = {}
     gflops: Dict[str, float] = {}
     failed: Dict[str, str] = {}
-    # One vectorized sweep covers every known format: feasibility, cost
-    # models and noise sampling run batched instead of per-format calls,
-    # with bit-identical results (and identical failure strings) to the
-    # historical benchmark loop.  Tuning configuration keys
-    # ("hyb?split=2") count as known formats — the batch sweep
-    # dispatches them to the parameterised models.
-    def _known(fmt: str) -> bool:
-        if fmt in KERNEL_MODELS:
-            return True
-        if "?" in fmt:
-            from .. import tuning
-
-            return tuning.is_known_key(fmt)
-        return False
-
-    known = [fmt for fmt in formats if _known(fmt)]
+    # One batched sweep covers every known format and configuration key
+    # ("hyb?split=2"): feasibility, cost models and noise sampling.
+    known = [fmt for fmt in formats if tuning.is_known_key(fmt)]
     for fmt in formats:
-        if not _known(fmt):  # mirrors the per-call KeyError label
+        if fmt not in known:  # the KeyError a per-format call would raise
             failed[fmt] = f"KeyError: {fmt!r}"
     sweep = executor.benchmark_batch([prof], formats=tuple(known), reps=reps)[0]
     for fmt in known:

@@ -9,9 +9,10 @@ The subpackage provides:
   :data:`~repro.gpu.device.KNL_7250` (à la Chen et al.),
 * :func:`~repro.gpu.profile.profile_matrix` — the one-pass structural
   analysis feeding the cost models,
-* :func:`~repro.gpu.kernels.estimate_time` — per-format kernel cost
-  models, and :func:`~repro.gpu.batch.estimate_batch` — the same models
-  evaluated as one vectorised N×F sweep (bit-identical results),
+* :func:`~repro.gpu.batch.estimate_batch` — the per-format kernel cost
+  models (one vectorised, parameterised model per format) evaluated as
+  one N×F sweep, and :func:`~repro.gpu.kernels.estimate_time` — the
+  same models for one (matrix, format) pair, as a batch of one,
 * :class:`~repro.gpu.executor.SpMVExecutor` — the measurement harness
   implementing the paper's 50-repetition averaging protocol, with
   simulated OOM / kernel-failure modes and calibrated noise; its

@@ -1,51 +1,77 @@
-"""Batched, vectorized evaluation of the kernel cost models.
+"""The SpMV kernel cost models, evaluated over batches of matrices.
 
-The scalar path in :mod:`repro.gpu.kernels` estimates one
-(matrix, format) pair per Python call — fine for a probe, but campaigns
-and the serving indirect mode sweep N matrices × F formats, and the
-interpreter overhead of ``N * F`` calls dominates the arithmetic.  This
-module evaluates the same models as numpy sweeps:
+This module is the only place the cost physics lives.  Each format has
+one model ``(batch, device, precision, config)`` that turns a
+:class:`ProfileBatch` of N matrices plus a
+:class:`~repro.gpu.device.DeviceSpec`, a precision and a
+:class:`~repro.tuning.Configuration` into per-matrix cost columns,
+decomposed into data movement, compute/reduction work, imbalance
+penalties and launch overhead.  Default parameters are just the default
+configuration; the scalar entry points
+(:func:`~repro.gpu.kernels.estimate_time`, the executor's
+``check_feasible``/``estimate``/``benchmark``) are batches of one.  The
+mechanisms are the ones the paper describes qualitatively (Sec. II-A,
+Sec. III):
 
-* :class:`ProfileBatch` — a struct-of-arrays view over N
-  :class:`~repro.gpu.profile.MatrixProfile` objects (one int64/float64
-  array per profile field, gather statistics per precision),
-* :func:`estimate_batch` — all requested format kernels over the whole
-  batch in one pass, returning a :class:`CostBreakdownBatch` of
-  ``(N, F)`` arrays,
-* :func:`format_bytes_batch` — the vectorized device-footprint model
-  backing the executor's batched feasibility/OOM checks.
+* **COO** — structure-insensitive but pays an extra row-index stream,
+  a segmented-reduction pass and atomic row updates (cheap on Pascal,
+  expensive on Kepler).
+* **CSR** — modelled as cuSPARSE-style adaptive choice between the
+  *scalar* kernel (thread/row: uncoalesced, diverges with row-length
+  variance), the *vector* kernel (``lanes`` per row: coalesced but
+  wastes lanes on short rows) and a row-packing kernel.
+* **ELL** — perfectly regular streaming of padded planes: fastest per
+  byte, but the byte count scales with ``rows × longest_row``;
+  ``rows_per_thread`` chunking and a ``width_cap`` feasibility guard.
+* **HYB** — an ELL pass at ``split`` × the μ-threshold width plus a COO
+  pass over the spill, two kernel launches.
+* **CSR5** — nnz-balanced tiles: insensitive to structure, small tile
+  descriptor overhead, slight gather-locality penalty from the tile
+  transposition.
+* **merge-based CSR** — nnz+rows merge items split evenly: insensitive
+  to structure, pays merge-path binary searches, a carry fix-up pass
+  and the extra row-pointer traffic.
+* **DIA** — pure diagonal streaming, no index array.
+* **BSR** — dense ``block_shape`` blocks, one index per block.
 
-Bit-identity contract
----------------------
-Every vectorized kernel reproduces the *exact operation order* of its
-scalar twin in :mod:`repro.gpu.kernels` (same associativity, same
-int-vs-float promotion points, ``np.where``/``np.divide(where=...)``
-standing in for branches), so each ``(i, j)`` cell of the batch equals
-the scalar ``estimate_time(formats[j], profiles[i], ...)`` result bit
-for bit.  ``tests/test_gpu_batch.py`` pins this for all formats ×
-devices × precisions; the contract is what lets the campaign labeler
-and the serving path switch to the batched sweep without invalidating
-any previously recorded dataset.
+The absolute constants were calibrated so single-precision CSR on the
+Kepler device peaks around the 20–25 GFLOPS the paper's Fig. 3 shows;
+the *relative* behaviour across formats/structures is what matters for
+the ML study.
+
+Entry points: :class:`ProfileBatch` (struct-of-arrays over
+:class:`~repro.gpu.profile.MatrixProfile` objects),
+:func:`estimate_batch` (N matrices × F formats or configuration keys in
+one pass, returning a :class:`CostBreakdownBatch` of ``(N, F)`` arrays)
+and :func:`format_bytes_batch` (the device-footprint model behind the
+executor's feasibility checks).  ``tests/test_cost_golden.py`` pins
+every output bit for bit against a recorded fixture.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from ..tuning import ConfigError, Configuration
 from .cache import gather_traffic_bytes_batch
 from .device import DeviceSpec
-from .kernels import IDX, KERNEL_MODELS, CostBreakdown, _itemsize
 from .profile import MatrixProfile
 
 __all__ = [
     "ProfileBatch",
+    "CostBreakdown",
     "CostBreakdownBatch",
+    "KERNEL_MODELS",
     "estimate_batch",
     "format_bytes_batch",
 ]
+
+#: Bytes of one index element (matches repro.formats.INDEX_BYTES).
+IDX = 4
 
 #: Precisions every profile carries gather statistics for.
 _PRECISIONS = ("single", "double")
@@ -70,15 +96,22 @@ _INT_FIELDS = (
 _FLOAT_FIELDS = ("nnz_mu", "nnz_sigma", "warp_divergence", "vector_waste")
 
 
+def _itemsize(precision: str) -> int:
+    if precision == "single":
+        return 4
+    if precision == "double":
+        return 8
+    raise ValueError(f"unknown precision {precision!r}")
+
+
 @dataclass(frozen=True)
 class ProfileBatch:
     """Struct-of-arrays over N :class:`MatrixProfile` objects.
 
     Integer structure counters are int64 arrays (so feasibility
-    comparisons stay exact, like the scalar path's Python ints) and the
-    row-statistics are float64; ``gather_unique``/``gather_fetches``
-    hold the per-precision cache-line gather statistics.  Build one
-    with :meth:`from_profiles`.
+    comparisons stay exact) and the row-statistics are float64;
+    ``gather_unique``/``gather_fetches`` hold the per-precision
+    cache-line gather statistics.  Build one with :meth:`from_profiles`.
     """
 
     n_rows: np.ndarray
@@ -149,7 +182,7 @@ class ProfileBatch:
 
 
 # ---------------------------------------------------------------------------
-# Assembly helpers (vector twins of kernels._assemble / _reduction_seconds)
+# Assembly helpers
 # ---------------------------------------------------------------------------
 
 
@@ -161,7 +194,7 @@ def _as_column(value, n: int) -> np.ndarray:
     return arr
 
 
-def _assemble_batch(
+def _assemble(
     batch: ProfileBatch,
     device: DeviceSpec,
     *,
@@ -174,11 +207,18 @@ def _assemble_batch(
     launches: float,
     setup_us: float = 0.0,
 ) -> Dict[str, np.ndarray]:
-    """Vector twin of :func:`repro.gpu.kernels._assemble`.
+    """Combine traffic, compute and overhead into per-matrix cost columns.
 
-    Operation order matches the scalar helper exactly; the
-    ``total_bytes == 0`` branch (zero-traffic matrices get zero memory
-    time, not 0/0) is reproduced with a masked divide.
+    Memory and compute overlap on a GPU, so the streaming phase costs
+    ``max(mem, compute)``; imbalance stretches the streaming phase
+    because late warps finish after the bandwidth is no longer
+    saturated.  ``setup_us`` is the format's fixed per-invocation
+    bookkeeping (tile/partition dispatch, grid sizing) on top of the
+    raw launch overhead — the reason sophisticated formats lose on tiny
+    matrices.  Zero-traffic matrices get zero memory time; a
+    zero-efficiency cell with traffic (HYB with nothing to store) comes
+    out as ``inf``, which the scalar entry points report as
+    ``ZeroDivisionError`` and the executor as a failure.
     """
     n = len(batch)
     total_bytes = matrix_bytes + x_bytes + y_bytes
@@ -186,9 +226,6 @@ def _assemble_batch(
     utilization = w / (w + device.saturation_bytes)
     bw = device.stream_bandwidth * efficiency * utilization
     mem_seconds = np.zeros(n)
-    # Degenerate zero-efficiency cells (e.g. HYB on an empty matrix,
-    # where the scalar kernel raises ZeroDivisionError) come out as inf
-    # here; the executor maps non-finite estimates to failures.
     with np.errstate(divide="ignore"):
         np.divide(total_bytes, bw, out=mem_seconds, where=total_bytes != 0)
     launch_seconds = launches * device.launch_overhead_us * 1e-6 + setup_us * 1e-6
@@ -206,12 +243,13 @@ def _assemble_batch(
     }
 
 
-def _reduction_seconds_batch(device: DeviceSpec, ops, cycles_per_op: float):
+def _reduction_seconds(device: DeviceSpec, ops, cycles_per_op: float):
+    """Time for ``ops`` bookkeeping operations at full occupancy."""
     throughput = device.n_sm * device.cores_per_sm * device.clock_hz
     return ops * cycles_per_op / throughput
 
 
-def _gather_batch(
+def _gather(
     batch: ProfileBatch, device: DeviceSpec, precision: str, *, locality_penalty: float = 1.0
 ) -> np.ndarray:
     return gather_traffic_bytes_batch(
@@ -223,45 +261,155 @@ def _gather_batch(
     )
 
 
-# ---------------------------------------------------------------------------
-# Vectorized per-format models (twins of kernels._coo ... kernels._bsr)
-# ---------------------------------------------------------------------------
-
-
-def _coo_batch(batch: ProfileBatch, device: DeviceSpec, precision: str):
-    v = _itemsize(precision)
-    nnz = batch.nnz
-    matrix_bytes = nnz * (2 * IDX + v)
-    x_bytes = _gather_batch(batch, device, precision)
+def _atomic_efficiency(device: DeviceSpec, precision: str) -> float:
+    """Atomic update efficiency (Kepler fp64 atomics are CAS loops)."""
     atomic_eff = device.atomic_efficiency
     if precision == "double" and device.arch == "kepler":
         atomic_eff *= 0.5
+    return atomic_eff
+
+
+# ---------------------------------------------------------------------------
+# Derived geometry (analytic, from existing profile statistics)
+# ---------------------------------------------------------------------------
+# The profile records *exact* HYB split geometry at the paper's
+# mu-threshold and the exact 4x4 BSR block count.  Other parameter
+# values re-derive their geometry from the recorded statistics — a
+# modeling choice that keeps the one-pass analysis contract untouched
+# (no new profile fields, no re-scan).
+
+
+def _hyb_split_geometry(batch: ProfileBatch, split: float):
+    """ELL slots / spill nnz / spill rows at ``split`` x the mu threshold.
+
+    Anchored to the exact geometry at ``split == 1`` (``hyb_ell_nnz``,
+    ``hyb_spill_nnz``, ``hyb_spill_rows``): thresholds above the anchor
+    decay the spill mass exponentially with scale ``max(1, sigma)``
+    (row-length tails are near-geometric for the corpus generators);
+    thresholds below it interpolate the ELL mass linearly, bounded by
+    the ``k * non_empty_rows`` plane capacity.
+    """
+    rows = batch.n_rows.astype(np.float64)
+    nnz = batch.nnz.astype(np.float64)
+    k1 = batch.hyb_threshold.astype(np.float64)
+    e1 = batch.hyb_ell_nnz.astype(np.float64)
+    s1 = batch.hyb_spill_nnz.astype(np.float64)
+    r1 = batch.hyb_spill_rows.astype(np.float64)
+    rows_n = rows - batch.empty_rows.astype(np.float64)
+
+    k_m = np.zeros(len(batch))
+    np.divide(nnz, rows, out=k_m, where=rows > 0)
+    k_m = np.where(rows > 0, np.maximum(1.0, np.ceil(split * k_m)), 0.0)
+
+    lam = np.maximum(1.0, batch.nnz_sigma)
+    decay = np.exp(-np.maximum(k_m - k1, 0.0) / lam)
+    spill_hi = s1 * decay
+    rows_hi = r1 * decay
+
+    ratio = np.ones(len(batch))
+    np.divide(k_m, k1, out=ratio, where=k1 > 0)
+    ell_lo = np.minimum(e1 * ratio, k_m * rows_n)
+    spill_lo = nnz - ell_lo
+    rows_lo = np.minimum(
+        rows_n, r1 + (spill_lo - s1) / np.maximum(k_m, 1.0)
+    )
+
+    above = k_m >= k1
+    spill = np.where(above, spill_hi, spill_lo)
+    spill_rows = np.where(above, rows_hi, rows_lo)
+    # A threshold at/above the longest row spills nothing, exactly.
+    no_spill = k_m >= batch.nnz_max
+    spill = np.where(no_spill, 0.0, spill)
+    spill_rows = np.where(no_spill, 0.0, spill_rows)
+    ell_slots = rows * np.minimum(k_m, batch.nnz_max.astype(np.float64))
+    return ell_slots, spill, spill_rows
+
+
+def _bsr_block_count(batch: ProfileBatch, shape: Tuple[int, int]) -> np.ndarray:
+    """Occupied block count at ``shape``, derived from the exact 4x4 count.
+
+    2x2 sub-blocks: each occupied 4x4 block holds four 2x2 cells; with
+    ``e`` entries spread over it, the expected occupied fraction is
+    ``1 - (3/4)**e`` (uniform placement), clipped to the combinatorial
+    bounds ``[blocks4, min(nnz, 4 * blocks4)]``.  8x8 super-blocks:
+    occupancy of the 8x8 grid under an independence assumption on the
+    4x4 block density, clipped to ``[ceil(blocks4 / 4), blocks4]``.
+    """
+    b4 = batch.bsr_blocks.astype(np.float64)
+    nnz = batch.nnz.astype(np.float64)
+    if shape == (4, 4):
+        return b4
+    if shape == (2, 2):
+        e = np.zeros(len(batch))
+        np.divide(nnz, b4, out=e, where=b4 > 0)
+        raw = b4 * 4.0 * (1.0 - 0.75 ** e)
+        return np.clip(raw, b4, np.minimum(nnz, 4.0 * b4))
+    if shape == (8, 8):
+        cells4 = (-(-batch.n_rows // 4)) * (-(-batch.n_cols // 4))
+        d4 = np.zeros(len(batch))
+        np.divide(b4, cells4.astype(np.float64), out=d4, where=cells4 > 0)
+        cells8 = ((-(-batch.n_rows // 8)) * (-(-batch.n_cols // 8))).astype(
+            np.float64
+        )
+        raw = cells8 * (1.0 - (1.0 - d4) ** 4)
+        return np.clip(raw, np.ceil(b4 / 4.0), b4)
+    # Off-grid shapes: interpolate through the area ratio against 4x4.
+    area = float(shape[0] * shape[1])
+    scale = np.clip(16.0 / area, 1.0 / 4.0, 4.0)
+    return np.clip(b4 * scale, np.ceil(b4 / 4.0), np.minimum(nnz, 4.0 * b4))
+
+
+# ---------------------------------------------------------------------------
+# Per-format models
+# ---------------------------------------------------------------------------
+
+
+def _coo(batch: ProfileBatch, device: DeviceSpec, precision: str, config: Configuration):
+    v = _itemsize(precision)
+    nnz = batch.nnz
+    matrix_bytes = nnz * (2 * IDX + v)
+    x_bytes = _gather(batch, device, precision)
+    # Segmented reduction updates y with atomics for segments crossing
+    # thread-block boundaries: model as read-modify-write inflated by the
+    # device's atomic efficiency.
     rows_touched = batch.n_rows - batch.empty_rows
-    y_bytes = 2.0 * rows_touched * v / max(atomic_eff, 1e-3)
-    compute = _reduction_seconds_batch(device, nnz, cycles_per_op=4.0)
-    return _assemble_batch(
+    y_bytes = 2.0 * rows_touched * v / max(_atomic_efficiency(device, precision), 1e-3)
+    compute = _reduction_seconds(device, nnz, cycles_per_op=4.0)
+    return _assemble(
         batch,
         device,
         matrix_bytes=matrix_bytes,
         x_bytes=x_bytes,
         y_bytes=y_bytes,
-        efficiency=0.58,
+        efficiency=0.58,  # interleaved carry handling costs replays
         imbalance=1.0,
         compute_seconds=compute,
-        launches=1,
-        setup_us=2.0,
+        launches=1,  # fused product + segmented-reduction kernel (CUSP style)
+        setup_us=2.0,  # carry-buffer initialisation
     )
 
 
-def _csr_batch(batch: ProfileBatch, device: DeviceSpec, precision: str):
+def _csr(batch: ProfileBatch, device: DeviceSpec, precision: str, config: Configuration):
+    """CSR: the fastest of the scalar, vector and row-packing kernels.
+
+    ``lanes`` narrows the vector kernel: the lane waste on short rows
+    shrinks proportionally, while coalescing efficiency drops and the
+    warp reduction shortens with ``log2``.
+    """
+    lanes = config.param("lanes")
+    if lanes < 1 or lanes > 32:
+        raise ConfigError(f"csr lanes must be in [1, 32], got {lanes}")
     v = _itemsize(precision)
     nnz = batch.nnz
     rows = batch.n_rows
     matrix_bytes = nnz * (IDX + v) + (rows + 1) * IDX
-    x_bytes = _gather_batch(batch, device, precision)
+    x_bytes = _gather(batch, device, precision)
     y_bytes = rows * v
 
-    scalar = _assemble_batch(
+    # Scalar kernel: thread per row.  Column/value reads stride by row
+    # length -> poor coalescing; 32-row warp groups serialize on their
+    # longest member.
+    scalar = _assemble(
         batch,
         device,
         matrix_bytes=matrix_bytes,
@@ -269,83 +417,108 @@ def _csr_batch(batch: ProfileBatch, device: DeviceSpec, precision: str):
         y_bytes=y_bytes,
         efficiency=0.30,
         imbalance=1.0 + 0.8 * (batch.warp_divergence - 1.0),
-        compute_seconds=_reduction_seconds_batch(device, nnz, 1.0),
+        compute_seconds=_reduction_seconds(device, nnz, 1.0),
         launches=1,
     )
-    waste = batch.vector_waste
-    vector = _assemble_batch(
+    # Vector kernel: ``lanes`` per row.  Coalesced, but rows shorter
+    # than the lane group leave lanes idle (vector_waste) and every row
+    # pays a warp-level reduction.
+    frac = lanes / 32.0
+    waste = 1.0 + (batch.vector_waste - 1.0) * frac
+    vector = _assemble(
         batch,
         device,
         matrix_bytes=matrix_bytes,
         x_bytes=x_bytes,
         y_bytes=y_bytes,
-        efficiency=0.88,
+        efficiency=0.88 * (0.85 + 0.15 * frac),
         imbalance=1.0 + 0.45 * (waste - 1.0),
-        compute_seconds=_reduction_seconds_batch(device, nnz + 8.0 * rows, 1.2),
+        compute_seconds=_reduction_seconds(
+            device, nnz + 8.0 * rows * (math.log2(lanes) / 5.0), 1.2
+        ),
         launches=1,
     )
-    cv = batch.row_cv
-    packed = _assemble_batch(
+    # Row-packing kernel (cuSPARSE-style heuristics): short rows are
+    # packed several-per-warp, so lane waste largely disappears, at the
+    # price of per-row bookkeeping and a residual sensitivity to
+    # row-length variance (a packed warp still waits for its longest
+    # member).
+    packed = _assemble(
         batch,
         device,
         matrix_bytes=matrix_bytes,
         x_bytes=x_bytes,
         y_bytes=y_bytes,
         efficiency=0.82,
-        imbalance=1.0 + 0.80 * np.minimum(cv, 4.0),
-        compute_seconds=_reduction_seconds_batch(device, nnz * 1.1 + 8.0 * rows, 1.0),
+        imbalance=1.0 + 0.80 * np.minimum(batch.row_cv, 4.0),
+        compute_seconds=_reduction_seconds(device, nnz * 1.1 + 8.0 * rows, 1.0),
         launches=1,
     )
-    # Per-matrix min over the three variants.  np.argmin keeps the first
-    # occurrence on ties, matching Python min() over (scalar, vector,
-    # packed) in the scalar kernel.
-    stacked_seconds = np.stack(
-        [scalar["seconds"], vector["seconds"], packed["seconds"]]
-    )
-    choice = np.argmin(stacked_seconds, axis=0)
-    out = {}
-    for field in scalar:
-        out[field] = np.choose(choice, [scalar[field], vector[field], packed[field]])
-    return out
+    # Per-matrix min over the three kernels; np.argmin keeps the first
+    # on ties.
+    stacked = np.stack([scalar["seconds"], vector["seconds"], packed["seconds"]])
+    choice = np.argmin(stacked, axis=0)
+    return {
+        field: np.choose(choice, [scalar[field], vector[field], packed[field]])
+        for field in scalar
+    }
 
 
-def _ell_batch(batch: ProfileBatch, device: DeviceSpec, precision: str):
+def _ell(batch: ProfileBatch, device: DeviceSpec, precision: str, config: Configuration):
+    """ELL with ``rows_per_thread`` chunking (``width_cap`` only gates
+    feasibility).
+
+    Chunking ``rpt`` rows into one thread saves scheduling/issue work on
+    regular matrices but serialises the longest of each chunk — a
+    penalty growing with the row-length coefficient of variation.
+    """
+    rpt = config.param("rows_per_thread")
+    if rpt < 1:
+        raise ConfigError(f"ell rows_per_thread must be >= 1, got {rpt}")
     v = _itemsize(precision)
-    slots = batch.n_rows * batch.nnz_max
-    matrix_bytes = slots * (IDX + v)
-    x_bytes = _gather_batch(batch, device, precision)
-    y_bytes = batch.n_rows * v
-    compute = _reduction_seconds_batch(device, slots.astype(np.float64), 0.8)
-    return _assemble_batch(
+    slots = batch.n_rows * batch.nnz_max  # padded plane size
+    # Perfectly regular column-major streaming: the padding bytes are in
+    # matrix_bytes already, so no further imbalance term is needed.
+    cols = _assemble(
         batch,
         device,
-        matrix_bytes=matrix_bytes,
-        x_bytes=x_bytes,
-        y_bytes=y_bytes,
+        matrix_bytes=slots * (IDX + v),
+        x_bytes=_gather(batch, device, precision),
+        y_bytes=batch.n_rows * v,
         efficiency=0.96,
         imbalance=1.0,
-        compute_seconds=compute,
+        compute_seconds=_reduction_seconds(device, slots.astype(np.float64), 0.8),
         launches=1,
-        setup_us=1.5,
+        setup_us=1.5,  # column-major grid configuration
     )
+    if rpt != 1:
+        factor = (
+            1.0 + 0.07 * (rpt - 1) * np.minimum(batch.row_cv, 2.0)
+        ) * (1.0 - 0.04 * (rpt - 1))
+        cols["seconds"] = cols["seconds"] * factor
+    return cols
 
 
-def _hyb_batch(batch: ProfileBatch, device: DeviceSpec, precision: str):
+def _hyb(batch: ProfileBatch, device: DeviceSpec, precision: str, config: Configuration):
+    """HYB with the ELL/COO split at ``split`` x the mu threshold."""
+    split = config.param("split")
+    if split <= 0:
+        raise ConfigError(f"hyb split must be > 0, got {split}")
     v = _itemsize(precision)
     rows = batch.n_rows
-    ell_slots = rows * np.minimum(batch.hyb_threshold, batch.nnz_max)
-    spill = batch.hyb_spill_nnz
+    ell_slots, spill, spill_rows = _hyb_split_geometry(batch, split)
     matrix_bytes = ell_slots * (IDX + v) + spill * (2 * IDX + v)
-    x_bytes = _gather_batch(batch, device, precision)
-    atomic_eff = device.atomic_efficiency
-    if precision == "double" and device.arch == "kepler":
-        atomic_eff *= 0.5
-    spill_rows = batch.hyb_spill_rows
+    x_bytes = _gather(batch, device, precision)
+    # ELL pass writes y once; the COO pass atomically updates only the
+    # rows that actually spilled past the threshold.
+    atomic_eff = _atomic_efficiency(device, precision)
     y_bytes = rows * v + 2.0 * spill_rows * v / max(atomic_eff, 1e-3)
-    compute = _reduction_seconds_batch(device, ell_slots * 0.8 + spill * 2.5, 1.0)
+    compute = _reduction_seconds(device, ell_slots * 0.8 + spill * 2.5, 1.0)
+    # Blended efficiency: the ELL part streams perfectly, the COO spill
+    # pays the segmented-reduction efficiency.
     total_elems = np.maximum(ell_slots + spill, 1)
     efficiency = (0.96 * ell_slots + 0.88 * spill) / total_elems
-    return _assemble_batch(
+    return _assemble(
         batch,
         device,
         matrix_bytes=matrix_bytes,
@@ -355,27 +528,29 @@ def _hyb_batch(batch: ProfileBatch, device: DeviceSpec, precision: str):
         imbalance=1.0,
         compute_seconds=compute,
         launches=2,
-        setup_us=3.0,
+        setup_us=3.0,  # two dependent kernels: extra grid dispatch
     )
 
 
-def _csr5_batch(batch: ProfileBatch, device: DeviceSpec, precision: str):
+def _csr5(batch: ProfileBatch, device: DeviceSpec, precision: str, config: Configuration):
     v = _itemsize(precision)
     nnz = batch.nnz
     rows = batch.n_rows
-    tile_elems = 32 * 16
-    n_tiles = -(-nnz // tile_elems)  # == 0 where nnz == 0, as in the scalar model
+    tile_elems = 32 * 16  # omega * sigma
+    n_tiles = -(-nnz // tile_elems)
     matrix_bytes = (
-        nnz * (IDX + v)
-        + (rows + 1) * IDX
-        + (n_tiles + 1) * IDX
-        + n_tiles * 2 * IDX
-        + nnz / 8.0
+        nnz * (IDX + v)              # transposed value/index tiles
+        + (rows + 1) * IDX           # row pointer
+        + (n_tiles + 1) * IDX        # tile_ptr
+        + n_tiles * 2 * IDX          # y_offset / seg_offset words
+        + nnz / 8.0                  # bit_flag, one bit per element
     )
-    x_bytes = _gather_batch(batch, device, precision, locality_penalty=1.22)
-    y_bytes = rows * v + n_tiles * v
-    compute = _reduction_seconds_batch(device, nnz * 1.6 + n_tiles * 96.0, 1.0)
-    return _assemble_batch(
+    # Tile transposition interleaves rows within a tile, trimming gather
+    # temporal locality slightly.
+    x_bytes = _gather(batch, device, precision, locality_penalty=1.22)
+    y_bytes = rows * v + n_tiles * v  # partial sums for cross-tile rows
+    compute = _reduction_seconds(device, nnz * 1.6 + n_tiles * 96.0, 1.0)
+    return _assemble(
         batch,
         device,
         matrix_bytes=matrix_bytes,
@@ -384,28 +559,28 @@ def _csr5_batch(batch: ProfileBatch, device: DeviceSpec, precision: str):
         efficiency=0.94,
         imbalance=1.0,
         compute_seconds=compute,
-        launches=1,
-        setup_us=6.0,
+        launches=1,  # tile metadata is built at conversion; SpMV is one kernel
+        setup_us=6.0,  # tile-scheduler bring-up + calibration epilogue
     )
 
 
-def _merge_csr_batch(batch: ProfileBatch, device: DeviceSpec, precision: str):
+def _merge_csr(batch: ProfileBatch, device: DeviceSpec, precision: str, config: Configuration):
     v = _itemsize(precision)
     nnz = batch.nnz
     rows = batch.n_rows
     items = nnz + rows
-    items_per_thread = 7 * 32
+    items_per_thread = 7 * 32  # merge items per thread-block tile
     partitions = -(-items // items_per_thread)
     matrix_bytes = (
         nnz * (IDX + v)
-        + (rows + 1) * IDX * 2
-        + partitions * 2 * IDX
+        + (rows + 1) * IDX * 2       # row pointer read by search + run
+        + partitions * 2 * IDX       # partition coordinates
     )
-    x_bytes = _gather_batch(batch, device, precision)
-    y_bytes = rows * v + partitions * 2.0 * v
+    x_bytes = _gather(batch, device, precision)
+    y_bytes = rows * v + partitions * 2.0 * v  # carry value+row per partition
     search_ops = partitions * (np.log2(rows + 1) + 1.0) * 4.0
-    compute = _reduction_seconds_batch(device, nnz * 1.3 + rows * 2.5 + search_ops, 1.0)
-    return _assemble_batch(
+    compute = _reduction_seconds(device, nnz * 1.3 + rows * 2.5 + search_ops, 1.0)
+    return _assemble(
         batch,
         device,
         matrix_bytes=matrix_bytes,
@@ -414,22 +589,25 @@ def _merge_csr_batch(batch: ProfileBatch, device: DeviceSpec, precision: str):
         efficiency=0.93,
         imbalance=1.0,
         compute_seconds=compute,
-        launches=1.5,
-        setup_us=5.0,
+        launches=1.5,  # partition-search kernel is tiny next to the SpMV
+        setup_us=5.0,  # coordinate search + temp-storage bookkeeping
     )
 
 
-def _dia_batch(batch: ProfileBatch, device: DeviceSpec, precision: str):
+def _dia(batch: ProfileBatch, device: DeviceSpec, precision: str, config: Configuration):
+    """DIA: pure diagonal streaming — no index array, shifted x reads."""
     v = _itemsize(precision)
     rows = batch.n_rows
     n_diags = batch.n_diags
     matrix_bytes = n_diags * rows * v + n_diags * IDX
+    # Each diagonal streams a contiguous x window; with few diagonals the
+    # windows stay L2-resident, otherwise later diagonals re-fetch.
     x_size = batch.n_cols * v
     resident = np.minimum(1.0, (device.l2_bytes * 0.5) / np.maximum(x_size, 1.0))
     x_bytes = x_size + (1.0 - resident) * np.maximum(n_diags - 1, 0) * rows * v * 0.5
     y_bytes = rows * v
-    compute = _reduction_seconds_batch(device, (n_diags * rows).astype(np.float64), 0.6)
-    return _assemble_batch(
+    compute = _reduction_seconds(device, (n_diags * rows).astype(np.float64), 0.6)
+    return _assemble(
         batch,
         device,
         matrix_bytes=matrix_bytes,
@@ -443,16 +621,22 @@ def _dia_batch(batch: ProfileBatch, device: DeviceSpec, precision: str):
     )
 
 
-def _bsr_batch(batch: ProfileBatch, device: DeviceSpec, precision: str):
+def _bsr(batch: ProfileBatch, device: DeviceSpec, precision: str, config: Configuration):
+    """BSR: dense-block streaming, one index per ``block_shape`` block."""
+    r, c = config.param("block_shape")
+    if r < 1 or c < 1:
+        raise ConfigError(f"bsr block_shape must be positive, got {(r, c)}")
     v = _itemsize(precision)
-    r = c = 4
-    n_blocks = batch.bsr_blocks
+    blocks = _bsr_block_count(batch, (r, c))
     n_brows = -(-batch.n_rows // r)
-    matrix_bytes = n_blocks * r * c * v + n_blocks * IDX + (n_brows + 1) * IDX
-    x_bytes = 0.9 * _gather_batch(batch, device, precision)
+    matrix_bytes = blocks * (r * c) * v + blocks * IDX + (n_brows + 1) * IDX
+    # The gather works at block granularity: whole c-wide x slices are
+    # read per block, which is kinder to cache lines than per-element
+    # gathers (model as a mild locality bonus on the standard estimate).
+    x_bytes = 0.9 * _gather(batch, device, precision)
     y_bytes = batch.n_rows * v
-    compute = _reduction_seconds_batch(device, n_blocks * r * c * 1.0, 1.0)
-    return _assemble_batch(
+    compute = _reduction_seconds(device, blocks * (r * c) * 1.0, 1.0)
+    return _assemble(
         batch,
         device,
         matrix_bytes=matrix_bytes,
@@ -466,20 +650,46 @@ def _bsr_batch(batch: ProfileBatch, device: DeviceSpec, precision: str):
     )
 
 
-#: Registry: format name -> vectorized cost model (same keys as
-#: kernels.KERNEL_MODELS; the equivalence test asserts both stay in sync).
-BATCH_KERNEL_MODELS: Dict[
-    str, Callable[[ProfileBatch, DeviceSpec, str], Dict[str, np.ndarray]]
+#: Registry: format name -> cost model ``(batch, device, precision, config)``.
+KERNEL_MODELS: Dict[
+    str, Callable[[ProfileBatch, DeviceSpec, str, Configuration], Dict[str, np.ndarray]]
 ] = {
-    "coo": _coo_batch,
-    "csr": _csr_batch,
-    "ell": _ell_batch,
-    "hyb": _hyb_batch,
-    "csr5": _csr5_batch,
-    "merge_csr": _merge_csr_batch,
-    "dia": _dia_batch,
-    "bsr": _bsr_batch,
+    "coo": _coo,
+    "csr": _csr,
+    "ell": _ell,
+    "hyb": _hyb,
+    "csr5": _csr5,
+    "merge_csr": _merge_csr,
+    "dia": _dia,
+    "bsr": _bsr,
 }
+
+
+#: The default configuration of every kernel model (bare format names).
+_DEFAULTS = {fmt: Configuration.default(fmt) for fmt in KERNEL_MODELS}
+
+
+def _configuration(fmt: str) -> Configuration:
+    """The configuration a format name or ``fmt?...`` key names.
+
+    Bare names need no parse; keys are parsed once per call.  Raises
+    ``KeyError`` for anything that is not a configuration of a
+    registered kernel model.
+    """
+    if fmt in _DEFAULTS:
+        return _DEFAULTS[fmt]
+    try:
+        return Configuration.from_key(fmt)
+    except ConfigError:
+        raise KeyError(
+            f"unknown format {fmt!r}; expected one of {sorted(KERNEL_MODELS)}"
+        ) from None
+
+
+# ---------------------------------------------------------------------------
+# Results
+# ---------------------------------------------------------------------------
+
 
 #: Field names of CostBreakdown, in declaration order.
 _BREAKDOWN_FIELDS = (
@@ -496,13 +706,31 @@ _BREAKDOWN_FIELDS = (
 
 
 @dataclass(frozen=True)
+class CostBreakdown:
+    """Decomposed cost estimate of one SpMV kernel invocation."""
+
+    seconds: float          #: total estimated wall time
+    matrix_bytes: float     #: format data streamed from DRAM
+    x_bytes: float          #: input-vector gather traffic
+    y_bytes: float          #: output traffic (incl. atomic RMW inflation)
+    compute_seconds: float  #: reduction / bookkeeping arithmetic time
+    launch_seconds: float   #: kernel launch overhead
+    imbalance: float        #: multiplicative load-imbalance factor (>= 1)
+    efficiency: float       #: achieved fraction of streaming bandwidth
+    flops: float            #: useful flops (2 * nnz)
+
+    @property
+    def gflops(self) -> float:
+        """Achieved GFLOP/s implied by this estimate."""
+        return self.flops / self.seconds / 1e9 if self.seconds > 0 else 0.0
+
+
+@dataclass(frozen=True)
 class CostBreakdownBatch:
     """Cost estimates for N matrices × F formats as ``(N, F)`` arrays.
 
-    Column ``j`` holds the estimates for ``formats[j]``; cell ``(i, j)``
-    is bit-identical to the scalar ``estimate_time(formats[j],
-    profiles[i], device, precision)``.  Use :meth:`at` to materialise a
-    single cell as a plain :class:`CostBreakdown`.
+    Column ``j`` holds the estimates for ``formats[j]``.  Use :meth:`at`
+    to materialise a single cell as a plain :class:`CostBreakdown`.
     """
 
     formats: Tuple[str, ...]
@@ -561,80 +789,64 @@ def estimate_batch(
         A :class:`ProfileBatch` or a sequence of
         :class:`MatrixProfile` objects (packed automatically).
     formats:
-        Format names to evaluate (columns of the result, in order).
-        Tuning configuration keys (``"hyb?split=2"``) are accepted and
-        dispatch to the parameterised models in :mod:`repro.tuning`.
-        ``None`` evaluates every registered kernel model.
+        Format names or tuning configuration keys (``"hyb?split=2"``)
+        to evaluate (columns of the result, in order).  ``None``
+        evaluates every registered kernel model at its defaults.
     device:
         Target :class:`~repro.gpu.device.DeviceSpec` (required).
     precision:
         ``"single"`` or ``"double"``.
 
     Raises ``KeyError`` for unknown formats and ``ValueError`` for an
-    unknown precision, like :func:`~repro.gpu.kernels.estimate_time`.
+    unknown precision.
     """
     if device is None:
         raise TypeError("estimate_batch() requires a device")
     _itemsize(precision)  # validate precision up front
     batch = _as_batch(profiles)
     names = tuple(KERNEL_MODELS) if formats is None else tuple(formats)
-    columns = []
-    for fmt in names:
-        model = BATCH_KERNEL_MODELS.get(fmt)
-        if model is not None:
-            columns.append(model(batch, device, precision))
-            continue
-        if "?" in fmt:
-            from .. import tuning
-
-            if tuning.is_known_key(fmt):
-                columns.append(tuning.batch_columns(fmt, batch, device, precision))
-                continue
-        raise KeyError(
-            f"unknown format {fmt!r}; expected one of {sorted(KERNEL_MODELS)}"
-        )
+    configs = [_configuration(fmt) for fmt in names]
     n, f = len(batch), len(names)
     fields = {
         name: np.empty((n, f), dtype=np.float64) for name in _BREAKDOWN_FIELDS
     }
-    for j, col in enumerate(columns):
+    for j, config in enumerate(configs):
+        col = KERNEL_MODELS[config.format](batch, device, precision, config)
         for name in _BREAKDOWN_FIELDS:
             fields[name][:, j] = col[name]
     return CostBreakdownBatch(formats=names, **fields)
 
 
 def format_bytes_batch(
-    batch: ProfileBatch, fmt: str, precision: str
+    batch: ProfileBatch, fmt: Union[str, Configuration], precision: str
 ) -> np.ndarray:
-    """Vectorized analytic device footprint of ``fmt`` per matrix.
+    """Analytic device footprint of ``fmt`` per matrix.
 
-    Twin of ``SpMVExecutor._format_bytes``: integer formats stay int64
-    so the executor's OOM comparison is exact, CSR5 carries its
-    fractional bit-flag term as float64 — matching the scalar types.
-    Tuning configuration keys dispatch to the parameterised footprints
-    in :mod:`repro.tuning`.
+    ``fmt`` is a format name, a configuration key or a
+    :class:`~repro.tuning.Configuration`.  Parameters that change the
+    stored geometry (HYB split, BSR block shape) change the footprint;
+    execution-only knobs (CSR lanes, ELL rows-per-thread and width cap)
+    do not.  Every value is an exact integer below 2**53, so the
+    executor's OOM comparison is exact whether the array is int64 or
+    float64.
     """
-    if "?" in fmt:
-        from .. import tuning
-
-        return tuning.config_bytes_batch(batch, fmt, precision)
+    config = fmt if isinstance(fmt, Configuration) else _configuration(fmt)
     v = _itemsize(precision)
+    name = config.format
     nnz, rows = batch.nnz, batch.n_rows
-    if fmt == "coo":
+    if name == "coo":
         return nnz * (2 * IDX + v)
-    if fmt in ("csr", "merge_csr"):
+    if name in ("csr", "merge_csr"):
         return nnz * (IDX + v) + (rows + 1) * IDX
-    if fmt == "ell":
+    if name == "ell":
         return rows * batch.nnz_max * (IDX + v)
-    if fmt == "hyb":
-        return (
-            rows * np.minimum(batch.hyb_threshold, batch.nnz_max) * (IDX + v)
-            + batch.hyb_spill_nnz * (2 * IDX + v)
-        )
-    if fmt == "csr5":
+    if name == "hyb":
+        ell_slots, spill, _ = _hyb_split_geometry(batch, config.param("split"))
+        return ell_slots * (IDX + v) + spill * (2 * IDX + v)
+    if name == "csr5":
         return nnz * (IDX + v) + (rows + 1) * IDX + nnz / 8.0
-    if fmt == "dia":
+    if name == "dia":
         return batch.n_diags * rows * v + batch.n_diags * IDX
-    if fmt == "bsr":
-        return batch.bsr_blocks * 16 * v + batch.bsr_blocks * IDX
-    raise KeyError(fmt)
+    r, c = config.param("block_shape")  # bsr
+    blocks = _bsr_block_count(batch, (r, c))
+    return blocks * (r * c) * v + blocks * IDX

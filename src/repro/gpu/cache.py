@@ -137,6 +137,8 @@ def gather_traffic_bytes(
 ) -> float:
     """DRAM bytes fetched for the ``x`` gather of one SpMV.
 
+    A batch of one through :func:`gather_traffic_bytes_batch`.
+
     Parameters
     ----------
     profile:
@@ -151,20 +153,12 @@ def gather_traffic_bytes(
         reduces temporal locality of the gather).
     """
     stats: GatherStats = profile.gather[precision]
-    if profile.nnz == 0:
-        return 0.0
-    line = device.cache_line_bytes
-    l2_lines = (device.l2_bytes * L2_X_SHARE) / line
-    working_set = max(stats.unique_lines, 1)
-
-    if working_set <= l2_lines:
-        extra = CONFLICT_MISS_RATE * max(stats.line_fetches - stats.unique_lines, 0)
-        fetched = stats.unique_lines + extra
-    else:
-        resident = l2_lines / working_set  # fraction of touched lines cached
-        fetched = resident * stats.unique_lines + (1.0 - resident) * stats.line_fetches
-
-    return float(fetched) * line * min(max(locality_penalty, 1.0), 4.0)
+    return float(
+        gather_traffic_bytes_batch(
+            [stats.unique_lines], [stats.line_fetches], [profile.nnz], device,
+            locality_penalty=locality_penalty,
+        )[0]
+    )
 
 
 def gather_traffic_bytes_batch(
@@ -175,13 +169,12 @@ def gather_traffic_bytes_batch(
     *,
     locality_penalty: float = 1.0,
 ) -> np.ndarray:
-    """Vectorized :func:`gather_traffic_bytes` over N matrices at once.
+    """DRAM bytes fetched for the ``x`` gather of N SpMVs at once.
 
     Takes the gather statistics as parallel int64 arrays (one entry per
     matrix, as stored in :class:`~repro.gpu.batch.ProfileBatch`) and
-    returns a float64 array of DRAM bytes.  Every arithmetic step
-    mirrors the scalar function's operation order exactly, so the
-    results are bit-identical to per-matrix calls.
+    returns a float64 array of DRAM bytes (see the module docstring for
+    the model; matrices without non-zeros fetch nothing).
     """
     unique = np.asarray(unique_lines, dtype=np.int64)
     fetches = np.asarray(line_fetches, dtype=np.int64)

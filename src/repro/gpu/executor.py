@@ -6,8 +6,8 @@ For a given matrix and format it
 
 1. optionally executes ``y = A @ x`` *numerically* with the real format
    data structures (so every kernel is functionally exercised), and
-2. produces a timing sample from the analytical kernel model
-   (:mod:`repro.gpu.kernels`) combined with the noise model
+2. produces a timing sample from the analytical kernel models
+   (:mod:`repro.gpu.batch`) combined with the noise model
    (:mod:`repro.gpu.noise`).
 
 The paper's measurement protocol — run each (matrix, format) 50 times
@@ -31,10 +31,10 @@ import numpy as np
 from .. import obs
 from ..formats import FORMAT_NAMES, SparseFormat, as_format
 from . import batch as _batch
-from .batch import CostBreakdownBatch, ProfileBatch, format_bytes_batch
+from .batch import CostBreakdown, CostBreakdownBatch, ProfileBatch, format_bytes_batch
 from .cache import LRUCache
 from .device import DeviceSpec
-from .kernels import IDX, CostBreakdown, estimate_time
+from .kernels import estimate_time
 from .noise import NoiseModel
 from .profile import MatrixProfile
 
@@ -59,6 +59,15 @@ class OutOfMemoryError(SimulationError):
 
 class KernelFailure(SimulationError):
     """The kernel cannot execute this matrix (e.g. ELL padding blow-up)."""
+
+
+#: Exception class of each :attr:`FormatFailure.error` name, so the
+#: scalar entry points re-raise what the batched sweep recorded.
+_ERRORS = {
+    "OutOfMemoryError": OutOfMemoryError,
+    "KernelFailure": KernelFailure,
+    "ZeroDivisionError": ZeroDivisionError,
+}
 
 
 @dataclass(frozen=True)
@@ -199,119 +208,67 @@ class SpMVExecutor:
 
     # -- feasibility -------------------------------------------------------
 
-    def _format_bytes(self, prof: MatrixProfile, fmt: str) -> float:
-        """Analytic device footprint of ``fmt`` for this matrix."""
-        if "?" in fmt:
-            from .. import tuning
-
-            return tuning.config_bytes(prof, fmt, self.precision)
-        v = 4 if self.precision == "single" else 8
-        nnz, rows = prof.nnz, prof.n_rows
-        if fmt == "coo":
-            return nnz * (2 * IDX + v)
-        if fmt in ("csr", "merge_csr"):
-            return nnz * (IDX + v) + (rows + 1) * IDX
-        if fmt == "ell":
-            return rows * prof.nnz_max * (IDX + v)
-        if fmt == "hyb":
-            return (
-                rows * min(prof.hyb_threshold, prof.nnz_max) * (IDX + v)
-                + prof.hyb_spill_nnz * (2 * IDX + v)
-            )
-        if fmt == "csr5":
-            return nnz * (IDX + v) + (rows + 1) * IDX + nnz / 8.0
-        if fmt == "dia":
-            return prof.n_diags * rows * v + prof.n_diags * IDX
-        if fmt == "bsr":
-            return prof.bsr_blocks * 16 * v + prof.bsr_blocks * IDX
-        raise KeyError(fmt)
-
     def check_feasible(self, matrix: Union[SparseFormat, MatrixProfile], fmt: str) -> None:
         """Raise a :class:`SimulationError` if ``fmt`` cannot run here.
 
-        ``fmt`` may be a tuning configuration key; parameter-specific
-        constraints (e.g. the ELL width cap) are checked between the
-        padding and OOM checks, with the padding limit keyed off the
-        *base* format so every ELL configuration honours it.
+        A batch of one through :meth:`feasibility_batch`.
         """
-        prof = self.profile(matrix)
-        base_fmt = fmt.partition("?")[0] if "?" in fmt else fmt
-        if (
-            base_fmt == "ell"
-            and self.ell_padding_limit is not None
-            and prof.nnz
-            and prof.ell_padding_ratio > self.ell_padding_limit
-        ):
-            raise KernelFailure(
-                f"ELL padding ratio {prof.ell_padding_ratio:.1f} exceeds the "
-                f"limit of {self.ell_padding_limit:g}"
-            )
-        if "?" in fmt:
-            from .. import tuning
-
-            tuning.check_feasible_config(prof, fmt)
-        v = 4 if self.precision == "single" else 8
-        need = self._format_bytes(prof, fmt) + (prof.n_rows + prof.n_cols) * v
-        if need > self.device.global_mem_bytes:
-            raise OutOfMemoryError(
-                f"{fmt} needs {need / 1e9:.2f} GB, device has "
-                f"{self.device.global_mem_bytes / 1e9:.2f} GB"
-            )
+        batch = ProfileBatch.from_profiles([self.profile(matrix)])
+        failure = self.feasibility_batch(batch, (fmt,))[0].get(fmt)
+        if failure is not None:
+            raise _ERRORS[failure.error](failure.reason)
 
     def feasibility_batch(
         self, batch: ProfileBatch, formats: Sequence[str]
     ) -> List[Dict[str, FormatFailure]]:
-        """Vectorized :meth:`check_feasible` over a whole batch.
+        """Feasibility of every format over a whole batch.
 
         Returns one ``fmt -> FormatFailure`` dict per matrix; formats
-        absent from a dict are feasible.  Failure strings are identical
-        to the scalar exceptions (the comparisons run on int64 arrays,
-        so the OOM threshold is exact like the scalar Python-int path).
+        absent from a dict are feasible.  ``formats`` may hold tuning
+        configuration keys, each parsed once.  Checks run in order and
+        the first failure wins: the ELL padding limit (every ELL
+        configuration honours it), then the configured ELL width cap,
+        then device memory (the comparisons run on exact integers).
         """
         n = len(batch)
         failures: List[Dict[str, FormatFailure]] = [{} for _ in range(n)]
         v = 4 if self.precision == "single" else 8
         vec_bytes = (batch.n_rows + batch.n_cols) * v
-        pad_bad = None
-        ratio = None
+        mem = self.device.global_mem_bytes
+        pad_bad = np.zeros(n, dtype=bool)
         if self.ell_padding_limit is not None:
             ratio = batch.ell_padding_ratio
             pad_bad = (batch.nnz != 0) & (ratio > self.ell_padding_limit)
         for fmt in dict.fromkeys(formats):
-            need = format_bytes_batch(batch, fmt, self.precision) + vec_bytes
-            oom = need > self.device.global_mem_bytes
-            base_fmt = fmt.partition("?")[0] if "?" in fmt else fmt
-            if base_fmt == "ell" and pad_bad is not None:
-                # Padding blow-up is reported before OOM, as in the
-                # scalar check.
+            config = _batch._configuration(fmt)
+            need = format_bytes_batch(batch, config, self.precision) + vec_bytes
+            failed = np.zeros(n, dtype=bool)
+            if config.format == "ell":
                 for i in np.nonzero(pad_bad)[0]:
-                    i = int(i)
                     failures[i][fmt] = FormatFailure(
                         fmt,
                         "KernelFailure",
                         f"ELL padding ratio {ratio[i]:.1f} exceeds the "
                         f"limit of {self.ell_padding_limit:g}",
                     )
-                oom = oom & ~pad_bad
-            if "?" in fmt:
-                # Parameter-specific infeasibilities (e.g. the ELL
-                # width cap) are reported before OOM, after padding —
-                # same order as the scalar check.
-                from .. import tuning
-
-                for i, (error, reason) in tuning.infeasible_batch(
-                    batch, fmt
-                ).items():
-                    if fmt not in failures[i]:
-                        failures[i][fmt] = FormatFailure(fmt, error, reason)
-                        oom[i] = False
-            for i in np.nonzero(oom)[0]:
-                i = int(i)
+                failed = pad_bad
+                cap = config.param("width_cap")
+                if cap is not None:
+                    capped = (batch.nnz != 0) & (batch.nnz_max > cap) & ~failed
+                    for i in np.nonzero(capped)[0]:
+                        failures[i][fmt] = FormatFailure(
+                            fmt,
+                            "KernelFailure",
+                            f"ELL width {int(batch.nnz_max[i])} exceeds the "
+                            f"configured width cap {cap}",
+                        )
+                    failed = failed | capped
+            for i in np.nonzero((need > mem) & ~failed)[0]:
                 failures[i][fmt] = FormatFailure(
                     fmt,
                     "OutOfMemoryError",
                     f"{fmt} needs {need[i] / 1e9:.2f} GB, device has "
-                    f"{self.device.global_mem_bytes / 1e9:.2f} GB",
+                    f"{mem / 1e9:.2f} GB",
                 )
         return failures
 
@@ -329,32 +286,16 @@ class SpMVExecutor:
         *,
         reps: int = 50,
     ) -> TimingSample:
-        """Time ``fmt`` on ``matrix``: the paper's 50-rep mean protocol."""
-        if reps <= 0:
-            raise ValueError("reps must be positive")
-        prof = self.profile(matrix)
-        self.check_feasible(prof, fmt)
-        base = estimate_time(fmt, prof, self.device, self.precision)
-        fixed = self.noise.structural_factor(
-            prof.digest, fmt, self.device.name, self.precision
-        )
-        runs = base.seconds * fixed * self.noise.run_factors(self.rng, reps)
-        mean = float(runs.mean())
-        if obs.enabled():
-            # Per-format kernel-model time distribution: what the
-            # simulated device reported, not how long simulating took.
-            obs.incr("gpu.benchmarks")
-            obs.observe(f"gpu.model_seconds.{fmt}", mean)
-        return TimingSample(
-            fmt=fmt,
-            device=self.device.name,
-            precision=self.precision,
-            seconds=mean,
-            std_seconds=float(runs.std()),
-            reps=reps,
-            gflops=base.flops / mean / 1e9 if mean > 0 else 0.0,
-            breakdown=base,
-        )
+        """Time ``fmt`` on ``matrix``: the paper's 50-rep mean protocol.
+
+        A batch of one through :meth:`benchmark_batch`; a format that
+        cannot run raises what the sweep recorded for it.
+        """
+        sweep = self.benchmark_batch([matrix], formats=(fmt,), reps=reps)[0]
+        failure = sweep.failures.get(fmt)
+        if failure is not None:
+            raise _ERRORS[failure.error](failure.reason)
+        return sweep[fmt]
 
     def estimate_batch(
         self,
@@ -363,8 +304,8 @@ class SpMVExecutor:
     ) -> CostBreakdownBatch:
         """Noise-free estimates for N matrices × F formats in one pass.
 
-        Results are bit-identical to per-pair :meth:`estimate` calls;
-        ``formats=None`` evaluates every registered kernel model.
+        ``formats=None`` evaluates every registered kernel model;
+        :meth:`estimate` is the batch of one.
         """
         if not isinstance(matrices, ProfileBatch):
             matrices = ProfileBatch.from_profiles(
@@ -386,11 +327,10 @@ class SpMVExecutor:
         Profiling, feasibility/OOM checks and the cost models all run
         vectorized over the whole batch; only the noise sampling walks
         the per-matrix jitter stream.  Each matrix's jitter is drawn as
-        a single block covering its feasible formats in order, which
-        reproduces the scalar per-format draws bit for bit (infeasible
-        formats consume no randomness, exactly like the scalar path
-        that raises before sampling) — so sweeps are interchangeable
-        with historical :meth:`benchmark` loops for any batch size.
+        a single block covering its feasible formats in order
+        (infeasible formats consume no randomness), which reproduces a
+        loop of per-format :meth:`benchmark` calls bit for bit — so
+        sweeps are interchangeable with such loops for any batch size.
         """
         if reps <= 0:
             raise ValueError("reps must be positive")
@@ -410,9 +350,9 @@ class SpMVExecutor:
                 if fmt in fail_i:
                     continue
                 if not np.isfinite(cost.seconds[i, col[fmt]]):
-                    # The scalar kernel raises ZeroDivisionError for
-                    # degenerate zero-efficiency cells (e.g. HYB on an
-                    # empty matrix); keep the labeling string identical.
+                    # Degenerate zero-efficiency cells (HYB with
+                    # nothing to store) keep their historical
+                    # labeling string.
                     fail_i[fmt] = FormatFailure(
                         fmt, "ZeroDivisionError", "float division by zero"
                     )

@@ -1,402 +1,20 @@
-"""Per-format SpMV kernel cost models.
+"""Scalar entry point of the kernel cost models.
 
-Each model turns a :class:`~repro.gpu.profile.MatrixProfile` plus a
-:class:`~repro.gpu.device.DeviceSpec` and precision into an estimated
-kernel time, decomposed into data movement, compute/reduction work,
-imbalance penalties and launch overhead.  The mechanisms implemented
-are exactly the ones the paper describes qualitatively (Sec. II-A,
-Sec. III):
-
-* **COO** — structure-insensitive but pays an extra row-index stream,
-  a segmented-reduction pass and atomic row updates (cheap on Pascal,
-  expensive on Kepler).
-* **CSR** — modelled as cuSPARSE-style adaptive choice between the
-  *scalar* kernel (thread/row: uncoalesced, diverges with row-length
-  variance) and the *vector* kernel (warp/row: coalesced but wastes
-  lanes on short rows).
-* **ELL** — perfectly regular streaming of padded planes: fastest per
-  byte, but the byte count scales with ``rows × longest_row``.
-* **HYB** — an ELL pass at the μ-threshold width plus a COO pass over
-  the spill, two kernel launches.
-* **CSR5** — nnz-balanced tiles: insensitive to structure, small tile
-  descriptor overhead, slight gather-locality penalty from the tile
-  transposition.
-* **merge-based CSR** — nnz+rows merge items split evenly: insensitive
-  to structure, pays merge-path binary searches, a carry fix-up pass
-  and the extra row-pointer traffic.
-
-The absolute constants were calibrated so single-precision CSR on the
-Kepler device peaks around the 20–25 GFLOPS the paper's Fig. 3 shows;
-the *relative* behaviour across formats/structures is what matters for
-the ML study.
+The models themselves live in :mod:`repro.gpu.batch`, one vectorised,
+parameterised function per format (see its module docstring for the
+physics).  :func:`estimate_time` evaluates one (matrix, format) pair as
+a batch of one; :data:`KERNEL_MODELS` is the format registry.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict
+import numpy as np
 
-from .cache import gather_traffic_bytes
+from .batch import IDX, KERNEL_MODELS, CostBreakdown, estimate_batch  # noqa: F401
 from .device import DeviceSpec
 from .profile import MatrixProfile
 
 __all__ = ["CostBreakdown", "estimate_time", "KERNEL_MODELS"]
-
-#: Bytes of one index element (matches repro.formats.INDEX_BYTES).
-IDX = 4
-
-
-@dataclass(frozen=True)
-class CostBreakdown:
-    """Decomposed cost estimate of one SpMV kernel invocation."""
-
-    seconds: float          #: total estimated wall time
-    matrix_bytes: float     #: format data streamed from DRAM
-    x_bytes: float          #: input-vector gather traffic
-    y_bytes: float          #: output traffic (incl. atomic RMW inflation)
-    compute_seconds: float  #: reduction / bookkeeping arithmetic time
-    launch_seconds: float   #: kernel launch overhead
-    imbalance: float        #: multiplicative load-imbalance factor (>= 1)
-    efficiency: float       #: achieved fraction of streaming bandwidth
-    flops: float            #: useful flops (2 * nnz)
-
-    @property
-    def gflops(self) -> float:
-        """Achieved GFLOP/s implied by this estimate."""
-        return self.flops / self.seconds / 1e9 if self.seconds > 0 else 0.0
-
-
-def _itemsize(precision: str) -> int:
-    if precision == "single":
-        return 4
-    if precision == "double":
-        return 8
-    raise ValueError(f"unknown precision {precision!r}")
-
-
-def _assemble(
-    profile: MatrixProfile,
-    device: DeviceSpec,
-    *,
-    matrix_bytes: float,
-    x_bytes: float,
-    y_bytes: float,
-    efficiency: float,
-    imbalance: float,
-    compute_seconds: float,
-    launches: float,
-    setup_us: float = 0.0,
-) -> CostBreakdown:
-    """Combine traffic, compute and overhead into a total estimate.
-
-    Memory and compute overlap on a GPU, so the streaming phase costs
-    ``max(mem, compute)``; imbalance stretches the streaming phase
-    because late warps finish after the bandwidth is no longer
-    saturated.  ``setup_us`` is the format's fixed per-invocation
-    bookkeeping (tile/partition dispatch, grid sizing) on top of the
-    raw launch overhead — the reason sophisticated formats lose on tiny
-    matrices.
-    """
-    total_bytes = matrix_bytes + x_bytes + y_bytes
-    bw = device.stream_bandwidth * efficiency * device.utilization(total_bytes)
-    mem_seconds = total_bytes / bw if total_bytes else 0.0
-    launch_seconds = launches * device.launch_overhead_us * 1e-6 + setup_us * 1e-6
-    seconds = max(mem_seconds, compute_seconds) * imbalance + launch_seconds
-    return CostBreakdown(
-        seconds=seconds,
-        matrix_bytes=matrix_bytes,
-        x_bytes=x_bytes,
-        y_bytes=y_bytes,
-        compute_seconds=compute_seconds,
-        launch_seconds=launch_seconds,
-        imbalance=imbalance,
-        efficiency=efficiency,
-        flops=2.0 * profile.nnz,
-    )
-
-
-def _reduction_seconds(device: DeviceSpec, ops: float, cycles_per_op: float) -> float:
-    """Time for ``ops`` bookkeeping operations at full occupancy."""
-    throughput = device.n_sm * device.cores_per_sm * device.clock_hz
-    return ops * cycles_per_op / throughput
-
-
-# ---------------------------------------------------------------------------
-# Per-format models
-# ---------------------------------------------------------------------------
-
-
-def _coo(profile: MatrixProfile, device: DeviceSpec, precision: str) -> CostBreakdown:
-    v = _itemsize(precision)
-    nnz = profile.nnz
-    matrix_bytes = nnz * (2 * IDX + v)
-    x_bytes = gather_traffic_bytes(profile, device, precision)
-    # Segmented reduction updates y with atomics for segments crossing
-    # thread-block boundaries: model as read-modify-write inflated by the
-    # device's atomic efficiency (Kepler fp64 atomics are CAS loops).
-    atomic_eff = device.atomic_efficiency
-    if precision == "double" and device.arch == "kepler":
-        atomic_eff *= 0.5
-    rows_touched = profile.n_rows - profile.empty_rows
-    y_bytes = 2.0 * rows_touched * v / max(atomic_eff, 1e-3)
-    compute = _reduction_seconds(device, nnz, cycles_per_op=4.0)
-    return _assemble(
-        profile,
-        device,
-        matrix_bytes=matrix_bytes,
-        x_bytes=x_bytes,
-        y_bytes=y_bytes,
-        efficiency=0.58,  # interleaved carry handling costs replays
-        imbalance=1.0,
-        compute_seconds=compute,
-        launches=1,  # fused product + segmented-reduction kernel (CUSP style)
-        setup_us=2.0,  # carry-buffer initialisation
-    )
-
-
-def _csr(profile: MatrixProfile, device: DeviceSpec, precision: str) -> CostBreakdown:
-    v = _itemsize(precision)
-    nnz = profile.nnz
-    rows = profile.n_rows
-    matrix_bytes = nnz * (IDX + v) + (rows + 1) * IDX
-    x_bytes = gather_traffic_bytes(profile, device, precision)
-    y_bytes = rows * v
-
-    # Scalar kernel: thread per row.  Column/value reads stride by row
-    # length -> poor coalescing; 32-row warp groups serialize on their
-    # longest member.
-    scalar = _assemble(
-        profile,
-        device,
-        matrix_bytes=matrix_bytes,
-        x_bytes=x_bytes,
-        y_bytes=y_bytes,
-        efficiency=0.30,
-        imbalance=1.0 + 0.8 * (profile.warp_divergence - 1.0),
-        compute_seconds=_reduction_seconds(device, nnz, 1.0),
-        launches=1,
-    )
-    # Vector kernel: warp per row.  Coalesced, but rows shorter than a
-    # warp leave lanes idle (vector_waste) and every row pays a
-    # warp-level reduction.
-    waste = profile.vector_waste
-    vector = _assemble(
-        profile,
-        device,
-        matrix_bytes=matrix_bytes,
-        x_bytes=x_bytes,
-        y_bytes=y_bytes,
-        efficiency=0.88,
-        imbalance=1.0 + 0.45 * (waste - 1.0),
-        compute_seconds=_reduction_seconds(device, nnz + 8.0 * rows, 1.2),
-        launches=1,
-    )
-    # Row-packing kernel (cuSPARSE-style heuristics): short rows are
-    # packed several-per-warp, so lane waste largely disappears, at the
-    # price of per-row bookkeeping and a residual sensitivity to
-    # row-length variance (a packed warp still waits for its longest
-    # member).
-    cv = profile.row_cv
-    packed = _assemble(
-        profile,
-        device,
-        matrix_bytes=matrix_bytes,
-        x_bytes=x_bytes,
-        y_bytes=y_bytes,
-        efficiency=0.82,
-        imbalance=1.0 + 0.80 * min(cv, 4.0),
-        compute_seconds=_reduction_seconds(device, nnz * 1.1 + 8.0 * rows, 1.0),
-        launches=1,
-    )
-    return min((scalar, vector, packed), key=lambda c: c.seconds)
-
-
-def _ell(profile: MatrixProfile, device: DeviceSpec, precision: str) -> CostBreakdown:
-    v = _itemsize(precision)
-    slots = profile.n_rows * profile.nnz_max  # padded plane size
-    matrix_bytes = slots * (IDX + v)
-    x_bytes = gather_traffic_bytes(profile, device, precision)
-    y_bytes = profile.n_rows * v
-    # Perfectly regular column-major streaming: the padding bytes are in
-    # matrix_bytes already, so no further imbalance term is needed.
-    compute = _reduction_seconds(device, float(slots), 0.8)
-    return _assemble(
-        profile,
-        device,
-        matrix_bytes=matrix_bytes,
-        x_bytes=x_bytes,
-        y_bytes=y_bytes,
-        efficiency=0.96,
-        imbalance=1.0,
-        compute_seconds=compute,
-        launches=1,
-        setup_us=1.5,  # column-major grid configuration
-    )
-
-
-def _hyb(profile: MatrixProfile, device: DeviceSpec, precision: str) -> CostBreakdown:
-    v = _itemsize(precision)
-    rows = profile.n_rows
-    k = profile.hyb_threshold
-    ell_slots = rows * min(k, profile.nnz_max)
-    spill = profile.hyb_spill_nnz
-    matrix_bytes = ell_slots * (IDX + v) + spill * (2 * IDX + v)
-    x_bytes = gather_traffic_bytes(profile, device, precision)
-    atomic_eff = device.atomic_efficiency
-    if precision == "double" and device.arch == "kepler":
-        atomic_eff *= 0.5
-    # ELL pass writes y once; the COO pass atomically updates only the
-    # rows that actually spilled past the threshold.
-    spill_rows = profile.hyb_spill_rows
-    y_bytes = rows * v + 2.0 * spill_rows * v / max(atomic_eff, 1e-3)
-    compute = _reduction_seconds(device, ell_slots * 0.8 + spill * 2.5, 1.0)
-    # Blended efficiency: the ELL part streams perfectly, the COO spill
-    # pays the segmented-reduction efficiency.
-    total_elems = max(ell_slots + spill, 1)
-    efficiency = (0.96 * ell_slots + 0.88 * spill) / total_elems
-    return _assemble(
-        profile,
-        device,
-        matrix_bytes=matrix_bytes,
-        x_bytes=x_bytes,
-        y_bytes=y_bytes,
-        efficiency=efficiency,
-        imbalance=1.0,
-        compute_seconds=compute,
-        launches=2,
-        setup_us=3.0,  # two dependent kernels: extra grid dispatch
-    )
-
-
-def _csr5(profile: MatrixProfile, device: DeviceSpec, precision: str) -> CostBreakdown:
-    v = _itemsize(precision)
-    nnz = profile.nnz
-    rows = profile.n_rows
-    tile_elems = 32 * 16  # omega * sigma
-    n_tiles = -(-nnz // tile_elems) if nnz else 0
-    matrix_bytes = (
-        nnz * (IDX + v)              # transposed value/index tiles
-        + (rows + 1) * IDX           # row pointer
-        + (n_tiles + 1) * IDX        # tile_ptr
-        + n_tiles * 2 * IDX          # y_offset / seg_offset words
-        + nnz / 8.0                  # bit_flag, one bit per element
-    )
-    # Tile transposition interleaves rows within a tile, trimming gather
-    # temporal locality slightly.
-    x_bytes = gather_traffic_bytes(profile, device, precision, locality_penalty=1.22)
-    y_bytes = rows * v + n_tiles * v  # partial sums for cross-tile rows
-    compute = _reduction_seconds(device, nnz * 1.6 + n_tiles * 96.0, 1.0)
-    return _assemble(
-        profile,
-        device,
-        matrix_bytes=matrix_bytes,
-        x_bytes=x_bytes,
-        y_bytes=y_bytes,
-        efficiency=0.94,
-        imbalance=1.0,
-        compute_seconds=compute,
-        launches=1,  # tile metadata is built at conversion; SpMV is one kernel
-        setup_us=6.0,  # tile-scheduler bring-up + calibration epilogue
-    )
-
-
-def _merge_csr(profile: MatrixProfile, device: DeviceSpec, precision: str) -> CostBreakdown:
-    v = _itemsize(precision)
-    nnz = profile.nnz
-    rows = profile.n_rows
-    items = nnz + rows
-    items_per_thread = 7 * 32  # merge items per thread-block tile
-    partitions = -(-items // items_per_thread) if items else 0
-    matrix_bytes = (
-        nnz * (IDX + v)
-        + (rows + 1) * IDX * 2       # row pointer read by search + run
-        + partitions * 2 * IDX       # partition coordinates
-    )
-    x_bytes = gather_traffic_bytes(profile, device, precision)
-    y_bytes = rows * v + partitions * 2.0 * v  # carry value+row per partition
-    import math
-
-    search_ops = partitions * (math.log2(rows + 1) + 1.0) * 4.0
-    compute = _reduction_seconds(device, nnz * 1.3 + rows * 2.5 + search_ops, 1.0)
-    return _assemble(
-        profile,
-        device,
-        matrix_bytes=matrix_bytes,
-        x_bytes=x_bytes,
-        y_bytes=y_bytes,
-        efficiency=0.93,
-        imbalance=1.0,
-        compute_seconds=compute,
-        launches=1.5,  # partition-search kernel is tiny next to the SpMV
-        setup_us=5.0,  # coordinate search + temp-storage bookkeeping
-    )
-
-
-def _dia(profile: MatrixProfile, device: DeviceSpec, precision: str) -> CostBreakdown:
-    """DIA: pure diagonal streaming — no index array, shifted x reads."""
-    v = _itemsize(precision)
-    rows = profile.n_rows
-    n_diags = profile.n_diags
-    matrix_bytes = n_diags * rows * v + n_diags * IDX
-    # Each diagonal streams a contiguous x window; with few diagonals the
-    # windows stay L2-resident, otherwise later diagonals re-fetch.
-    x_size = profile.n_cols * v
-    resident = min(1.0, (device.l2_bytes * 0.5) / max(x_size, 1.0))
-    x_bytes = x_size + (1.0 - resident) * max(n_diags - 1, 0) * rows * v * 0.5
-    y_bytes = rows * v
-    compute = _reduction_seconds(device, float(n_diags * rows), 0.6)
-    return _assemble(
-        profile,
-        device,
-        matrix_bytes=matrix_bytes,
-        x_bytes=x_bytes,
-        y_bytes=y_bytes,
-        efficiency=0.97,
-        imbalance=1.0,
-        compute_seconds=compute,
-        launches=1,
-        setup_us=0.5,
-    )
-
-
-def _bsr(profile: MatrixProfile, device: DeviceSpec, precision: str) -> CostBreakdown:
-    """BSR (4x4 blocks): dense-block streaming, one index per block."""
-    v = _itemsize(precision)
-    r = c = 4
-    n_blocks = profile.bsr_blocks
-    n_brows = -(-profile.n_rows // r)
-    matrix_bytes = n_blocks * r * c * v + n_blocks * IDX + (n_brows + 1) * IDX
-    # The gather works at block granularity: whole c-wide x slices are
-    # read per block, which is kinder to cache lines than per-element
-    # gathers (model as a mild locality bonus on the standard estimate).
-    x_bytes = 0.9 * gather_traffic_bytes(profile, device, precision)
-    y_bytes = profile.n_rows * v
-    compute = _reduction_seconds(device, n_blocks * r * c * 1.0, 1.0)
-    return _assemble(
-        profile,
-        device,
-        matrix_bytes=matrix_bytes,
-        x_bytes=x_bytes,
-        y_bytes=y_bytes,
-        efficiency=0.94,
-        imbalance=1.0,
-        compute_seconds=compute,
-        launches=1,
-        setup_us=1.0,
-    )
-
-
-#: Registry: format name -> cost model.
-KERNEL_MODELS: Dict[str, Callable[[MatrixProfile, DeviceSpec, str], CostBreakdown]] = {
-    "coo": _coo,
-    "csr": _csr,
-    "ell": _ell,
-    "hyb": _hyb,
-    "csr5": _csr5,
-    "merge_csr": _merge_csr,
-    "dia": _dia,
-    "bsr": _bsr,
-}
 
 
 def estimate_time(
@@ -404,20 +22,13 @@ def estimate_time(
 ) -> CostBreakdown:
     """Estimate one SpMV invocation of ``fmt`` on ``device``.
 
-    ``fmt`` may also be a tuning configuration key (``"hyb?split=2"``),
-    which dispatches to the parameterised models in :mod:`repro.tuning`
-    (an all-default key is just the bare format name, handled here).
-    Raises ``KeyError`` for unknown formats and ``ValueError`` for an
-    unknown precision.
+    ``fmt`` is a format name or a tuning configuration key
+    (``"hyb?split=2"``).  Raises ``KeyError`` for unknown formats,
+    ``ValueError`` for an unknown precision and ``ZeroDivisionError``
+    for a degenerate cell the batch reports as non-finite (HYB with
+    traffic but nothing to store).
     """
-    model = KERNEL_MODELS.get(fmt)
-    if model is None:
-        if "?" in fmt:
-            from .. import tuning
-
-            if tuning.is_known_key(fmt):
-                return tuning.estimate_config(fmt, profile, device, precision)
-        raise KeyError(
-            f"unknown format {fmt!r}; expected one of {sorted(KERNEL_MODELS)}"
-        )
-    return model(profile, device, precision)
+    cost = estimate_batch([profile], (fmt,), device, precision)
+    if not np.isfinite(cost.seconds[0, 0]):
+        raise ZeroDivisionError("float division by zero")
+    return cost.at(0, 0)

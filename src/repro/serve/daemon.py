@@ -15,9 +15,9 @@ a pipe, a socket wrapper or a test's ``StringIO``.  Operations:
 ``{"op": "feedback", "id": ..., "times": {key: seconds}}``
     Report observed per-configuration execution times of a served
     decision, keyed by configuration key.  Include ``"chosen"`` (or the
-    ``"config"`` alias) for ids outside the recent window — either a
-    configuration key/object or, for one deprecation cycle, a bare
-    format string.
+    ``"config"`` alias) for ids outside the recent window — a
+    configuration key (a bare format name is its default
+    configuration's key) or object.
 
 ``{"op": "stats"}``
     Telemetry snapshot (latency percentiles, throughput, cache hit

@@ -655,9 +655,8 @@ class SelectionService:
         looks up what it chose); pass ``chosen`` explicitly for
         decisions that aged out of the window.  ``chosen`` accepts a
         :class:`~repro.tuning.Configuration`, a configuration mapping
-        (``{"format": ..., "params": ...}``), or a configuration key;
-        bare format strings keep working for one deprecation cycle with
-        a one-time :class:`DeprecationWarning`.  Returns the
+        (``{"format": ..., "params": ...}``), or a configuration key (a
+        bare format name is its default configuration's key).  Returns the
         :class:`~repro.serve.feedback.FeedbackEvent`.
         """
         if chosen is None:
@@ -670,9 +669,7 @@ class SelectionService:
             chosen = decision.chosen
         else:
             try:
-                chosen = tuning.coerce(
-                    chosen, context="SelectionService.record_feedback(chosen=...)"
-                ).key
+                chosen = tuning.coerce(chosen).key
             except tuning.ConfigError:
                 # Custom vocabulary name outside the tuning grids: keep
                 # the legacy pass-through behaviour.

@@ -19,17 +19,13 @@ This module widens the repo's decision vocabulary accordingly:
 * :data:`PARAMETER_GRIDS` — the per-format parameter grids the tuned
   campaign sweeps; :func:`format_grid` / :func:`tuned_space` enumerate
   them (default configuration first).
-* Parameterised cost models — :func:`batch_columns` evaluates any
-  configuration over a :class:`~repro.gpu.batch.ProfileBatch` with the
-  same vectorised machinery as :mod:`repro.gpu.batch`; default
-  configurations delegate to the registered batch kernels unchanged
-  (bit-identical by construction).  Non-default parameters re-derive
-  the affected geometry analytically from the profile statistics
-  (HYB split tables, BSR block counts at 2x2/8x8) so no extra
-  analysis pass is needed.
-* Feasibility pruning — :func:`infeasible_batch` /
-  :func:`check_feasible_config` extend the executor's OOM/padding
-  checks with parameter-specific constraints (the ELL width cap).
+* The cost models in :mod:`repro.gpu.batch` take a configuration as
+  their last argument (one parameterised model per format); non-default
+  parameters re-derive the affected geometry analytically from the
+  profile statistics (HYB split tables, BSR block counts at other
+  shapes) so no extra analysis pass is needed, and the executor's
+  feasibility sweep prunes parameter-specific infeasibilities (the ELL
+  width cap).
 * Energy proxy — :func:`energy_joules` derives a per-invocation energy
   estimate from the cost breakdown (DRAM traffic + arithmetic + static
   power), and :func:`scalarize` folds it into a multi-objective
@@ -45,26 +41,15 @@ shards, serving caches — which is what makes the joint space an API
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Mapping, Sequence, Tuple, Union
 
 import numpy as np
 
-from ._compat import warn_deprecated
 from .formats import FORMAT_NAMES
-from .gpu.batch import (
-    BATCH_KERNEL_MODELS,
-    _BREAKDOWN_FIELDS,
-    ProfileBatch,
-    _assemble_batch,
-    _gather_batch,
-    _reduction_seconds_batch,
-    format_bytes_batch,
-)
-from .gpu.device import DeviceSpec
-from .gpu.kernels import IDX, KERNEL_MODELS, CostBreakdown, _itemsize
-from .gpu.profile import MatrixProfile
+
+if TYPE_CHECKING:  # the gpu package imports this module
+    from .gpu.device import DeviceSpec
 
 __all__ = [
     "ConfigError",
@@ -79,12 +64,6 @@ __all__ = [
     "is_known_key",
     "base_format",
     "coerce",
-    "batch_columns",
-    "estimate_config",
-    "config_bytes_batch",
-    "config_bytes",
-    "infeasible_batch",
-    "check_feasible_config",
     "energy_joules",
     "scalarize",
     "tuned_vs_default_speedup",
@@ -318,28 +297,16 @@ class Configuration:
         return cls(fmt, params)
 
 
-def coerce(
-    value: Union["Configuration", str, Mapping], *, context: str = ""
-) -> Configuration:
+def coerce(value: Union["Configuration", str, Mapping]) -> Configuration:
     """Coerce a configuration-ish value to a :class:`Configuration`.
 
-    Accepts a :class:`Configuration`, a string key, or a mapping with
-    ``format`` (and optionally ``params``) entries.  When ``context``
-    is set, a *bare format string* (no parameters) triggers a warn-once
-    deprecation via :mod:`repro._compat` — the shim that keeps legacy
-    format-string clients of the serving surfaces working during the
-    configuration-first deprecation cycle.
+    Accepts a :class:`Configuration`, a string key (a bare format name
+    is the key of its default configuration), or a mapping with
+    ``format`` (and optionally ``params``) entries.
     """
     if isinstance(value, Configuration):
         return value
     if isinstance(value, str):
-        if context and "?" not in value:
-            warn_deprecated(
-                f"tuning.bare-format:{context}",
-                f"passing a bare format string to {context} is deprecated; "
-                "pass a Configuration (or a configuration key like "
-                "'hyb?split=2') instead",
-            )
         return Configuration.from_key(value)
     if isinstance(value, Mapping):
         try:
@@ -407,9 +374,9 @@ def base_format(name: str) -> str:
 
 def is_known_key(name: str) -> bool:
     """True when ``name`` is a bare kernel-model format or parses to a
-    valid configuration over one (the membership test the labeler and
-    batch dispatcher use)."""
-    if name in KERNEL_MODELS:
+    valid configuration over one (the membership test the labeler
+    uses)."""
+    if name in PARAMETER_GRIDS:
         return True
     if not is_config_key(name):
         return False
@@ -417,387 +384,7 @@ def is_known_key(name: str) -> bool:
         Configuration.from_key(name)
     except ConfigError:
         return False
-    return base_format(name) in KERNEL_MODELS
-
-
-# ---------------------------------------------------------------------------
-# Derived geometry (analytic, from existing profile statistics)
-# ---------------------------------------------------------------------------
-# The profile records *exact* HYB split geometry at the paper's
-# mu-threshold and the exact 4x4 BSR block count.  Other parameter
-# values re-derive their geometry from the recorded statistics — a
-# modeling choice that keeps the frozen one-pass/two-pass analysis
-# contract untouched (no new profile fields, no re-scan).
-
-
-def _hyb_split_geometry(batch: ProfileBatch, split: float):
-    """ELL slots / spill nnz / spill rows at ``split`` x the mu threshold.
-
-    Anchored to the exact geometry at ``split == 1`` (``hyb_ell_nnz``,
-    ``hyb_spill_nnz``, ``hyb_spill_rows``): thresholds above the anchor
-    decay the spill mass exponentially with scale ``max(1, sigma)``
-    (row-length tails are near-geometric for the corpus generators);
-    thresholds below it interpolate the ELL mass linearly, bounded by
-    the ``k * non_empty_rows`` plane capacity.
-    """
-    rows = batch.n_rows.astype(np.float64)
-    nnz = batch.nnz.astype(np.float64)
-    k1 = batch.hyb_threshold.astype(np.float64)
-    e1 = batch.hyb_ell_nnz.astype(np.float64)
-    s1 = batch.hyb_spill_nnz.astype(np.float64)
-    r1 = batch.hyb_spill_rows.astype(np.float64)
-    rows_n = rows - batch.empty_rows.astype(np.float64)
-
-    k_m = np.zeros(len(batch))
-    np.divide(nnz, rows, out=k_m, where=rows > 0)
-    k_m = np.where(rows > 0, np.maximum(1.0, np.ceil(split * k_m)), 0.0)
-
-    lam = np.maximum(1.0, batch.nnz_sigma)
-    decay = np.exp(-np.maximum(k_m - k1, 0.0) / lam)
-    spill_hi = s1 * decay
-    rows_hi = r1 * decay
-
-    ratio = np.ones(len(batch))
-    np.divide(k_m, k1, out=ratio, where=k1 > 0)
-    ell_lo = np.minimum(e1 * ratio, k_m * rows_n)
-    spill_lo = nnz - ell_lo
-    rows_lo = np.minimum(
-        rows_n, r1 + (spill_lo - s1) / np.maximum(k_m, 1.0)
-    )
-
-    above = k_m >= k1
-    spill = np.where(above, spill_hi, spill_lo)
-    spill_rows = np.where(above, rows_hi, rows_lo)
-    # A threshold at/above the longest row spills nothing, exactly.
-    no_spill = k_m >= batch.nnz_max
-    spill = np.where(no_spill, 0.0, spill)
-    spill_rows = np.where(no_spill, 0.0, spill_rows)
-    ell_slots = rows * np.minimum(k_m, batch.nnz_max.astype(np.float64))
-    return ell_slots, spill, spill_rows
-
-
-def _bsr_block_count(batch: ProfileBatch, shape: Tuple[int, int]) -> np.ndarray:
-    """Occupied block count at ``shape``, derived from the exact 4x4 count.
-
-    2x2 sub-blocks: each occupied 4x4 block holds four 2x2 cells; with
-    ``e`` entries spread over it, the expected occupied fraction is
-    ``1 - (3/4)**e`` (uniform placement), clipped to the combinatorial
-    bounds ``[blocks4, min(nnz, 4 * blocks4)]``.  8x8 super-blocks:
-    occupancy of the 8x8 grid under an independence assumption on the
-    4x4 block density, clipped to ``[ceil(blocks4 / 4), blocks4]``.
-    """
-    b4 = batch.bsr_blocks.astype(np.float64)
-    nnz = batch.nnz.astype(np.float64)
-    if shape == (4, 4):
-        return b4
-    if shape == (2, 2):
-        e = np.zeros(len(batch))
-        np.divide(nnz, b4, out=e, where=b4 > 0)
-        raw = b4 * 4.0 * (1.0 - 0.75 ** e)
-        return np.clip(raw, b4, np.minimum(nnz, 4.0 * b4))
-    if shape == (8, 8):
-        cells4 = (-(-batch.n_rows // 4)) * (-(-batch.n_cols // 4))
-        d4 = np.zeros(len(batch))
-        np.divide(b4, cells4.astype(np.float64), out=d4, where=cells4 > 0)
-        cells8 = ((-(-batch.n_rows // 8)) * (-(-batch.n_cols // 8))).astype(
-            np.float64
-        )
-        raw = cells8 * (1.0 - (1.0 - d4) ** 4)
-        return np.clip(raw, np.ceil(b4 / 4.0), b4)
-    # Off-grid shapes: interpolate through the area ratio against 4x4.
-    area = float(shape[0] * shape[1])
-    scale = np.clip(16.0 / area, 1.0 / 4.0, 4.0)
-    return np.clip(b4 * scale, np.ceil(b4 / 4.0), np.minimum(nnz, 4.0 * b4))
-
-
-# ---------------------------------------------------------------------------
-# Parameterised batch cost models
-# ---------------------------------------------------------------------------
-
-
-def _csr_config_batch(
-    batch: ProfileBatch, device: DeviceSpec, precision: str, config: Configuration
-):
-    """CSR with a tuned vector-kernel lane count.
-
-    Mirrors :func:`repro.gpu.batch._csr_batch` (scalar and packed
-    variants untouched); ``lanes`` narrows the vector kernel: the lane
-    waste on short rows shrinks proportionally, while coalescing
-    efficiency drops and the warp reduction shortens with ``log2``.
-    """
-    lanes = config.param("lanes")
-    if lanes < 1 or lanes > 32:
-        raise ConfigError(f"csr lanes must be in [1, 32], got {lanes}")
-    v = _itemsize(precision)
-    nnz = batch.nnz
-    rows = batch.n_rows
-    matrix_bytes = nnz * (IDX + v) + (rows + 1) * IDX
-    x_bytes = _gather_batch(batch, device, precision)
-    y_bytes = rows * v
-
-    scalar = _assemble_batch(
-        batch,
-        device,
-        matrix_bytes=matrix_bytes,
-        x_bytes=x_bytes,
-        y_bytes=y_bytes,
-        efficiency=0.30,
-        imbalance=1.0 + 0.8 * (batch.warp_divergence - 1.0),
-        compute_seconds=_reduction_seconds_batch(device, nnz, 1.0),
-        launches=1,
-    )
-    frac = lanes / 32.0
-    waste = 1.0 + (batch.vector_waste - 1.0) * frac
-    vector = _assemble_batch(
-        batch,
-        device,
-        matrix_bytes=matrix_bytes,
-        x_bytes=x_bytes,
-        y_bytes=y_bytes,
-        efficiency=0.88 * (0.85 + 0.15 * frac),
-        imbalance=1.0 + 0.45 * (waste - 1.0),
-        compute_seconds=_reduction_seconds_batch(
-            device, nnz + 8.0 * rows * (math.log2(lanes) / 5.0), 1.2
-        ),
-        launches=1,
-    )
-    cv = batch.row_cv
-    packed = _assemble_batch(
-        batch,
-        device,
-        matrix_bytes=matrix_bytes,
-        x_bytes=x_bytes,
-        y_bytes=y_bytes,
-        efficiency=0.82,
-        imbalance=1.0 + 0.80 * np.minimum(cv, 4.0),
-        compute_seconds=_reduction_seconds_batch(device, nnz * 1.1 + 8.0 * rows, 1.0),
-        launches=1,
-    )
-    stacked = np.stack([scalar["seconds"], vector["seconds"], packed["seconds"]])
-    choice = np.argmin(stacked, axis=0)
-    return {
-        field: np.choose(choice, [scalar[field], vector[field], packed[field]])
-        for field in scalar
-    }
-
-
-def _ell_config_batch(
-    batch: ProfileBatch, device: DeviceSpec, precision: str, config: Configuration
-):
-    """ELL with rows-per-thread chunking (width cap is feasibility-only).
-
-    Chunking ``rpt`` rows into one thread saves scheduling/issue work on
-    regular matrices but serialises the longest of each chunk — a
-    penalty growing with the row-length coefficient of variation.  At
-    ``rpt == 1`` the factor is exactly 1, so only non-default
-    configurations diverge from the base model.
-    """
-    from .gpu.batch import _ell_batch
-
-    cols = _ell_batch(batch, device, precision)
-    rpt = config.param("rows_per_thread")
-    if rpt < 1:
-        raise ConfigError(f"ell rows_per_thread must be >= 1, got {rpt}")
-    if rpt != 1:
-        factor = (
-            1.0 + 0.07 * (rpt - 1) * np.minimum(batch.row_cv, 2.0)
-        ) * (1.0 - 0.04 * (rpt - 1))
-        cols = dict(cols)
-        cols["seconds"] = cols["seconds"] * factor
-    return cols
-
-
-def _hyb_config_batch(
-    batch: ProfileBatch, device: DeviceSpec, precision: str, config: Configuration
-):
-    """HYB with a tuned split threshold (geometry re-derived per split)."""
-    split = config.param("split")
-    if split <= 0:
-        raise ConfigError(f"hyb split must be > 0, got {split}")
-    v = _itemsize(precision)
-    rows = batch.n_rows
-    ell_slots, spill, spill_rows = _hyb_split_geometry(batch, split)
-    matrix_bytes = ell_slots * (IDX + v) + spill * (2 * IDX + v)
-    x_bytes = _gather_batch(batch, device, precision)
-    atomic_eff = device.atomic_efficiency
-    if precision == "double" and device.arch == "kepler":
-        atomic_eff *= 0.5
-    y_bytes = rows * v + 2.0 * spill_rows * v / max(atomic_eff, 1e-3)
-    compute = _reduction_seconds_batch(device, ell_slots * 0.8 + spill * 2.5, 1.0)
-    total_elems = np.maximum(ell_slots + spill, 1)
-    efficiency = (0.96 * ell_slots + 0.88 * spill) / total_elems
-    return _assemble_batch(
-        batch,
-        device,
-        matrix_bytes=matrix_bytes,
-        x_bytes=x_bytes,
-        y_bytes=y_bytes,
-        efficiency=efficiency,
-        imbalance=1.0,
-        compute_seconds=compute,
-        launches=2,
-        setup_us=3.0,
-    )
-
-
-def _bsr_config_batch(
-    batch: ProfileBatch, device: DeviceSpec, precision: str, config: Configuration
-):
-    """BSR with a tuned block shape (block count re-derived per shape)."""
-    r, c = config.param("block_shape")
-    if r < 1 or c < 1:
-        raise ConfigError(f"bsr block_shape must be positive, got {(r, c)}")
-    v = _itemsize(precision)
-    blocks = _bsr_block_count(batch, (r, c))
-    n_brows = -(-batch.n_rows // r)
-    matrix_bytes = blocks * (r * c) * v + blocks * IDX + (n_brows + 1) * IDX
-    x_bytes = 0.9 * _gather_batch(batch, device, precision)
-    y_bytes = batch.n_rows * v
-    compute = _reduction_seconds_batch(device, blocks * (r * c) * 1.0, 1.0)
-    return _assemble_batch(
-        batch,
-        device,
-        matrix_bytes=matrix_bytes,
-        x_bytes=x_bytes,
-        y_bytes=y_bytes,
-        efficiency=0.94,
-        imbalance=1.0,
-        compute_seconds=compute,
-        launches=1,
-        setup_us=1.0,
-    )
-
-
-_CONFIG_BATCH_MODELS = {
-    "csr": _csr_config_batch,
-    "ell": _ell_config_batch,
-    "hyb": _hyb_config_batch,
-    "bsr": _bsr_config_batch,
-}
-
-
-def batch_columns(
-    config: Union[Configuration, str],
-    batch: ProfileBatch,
-    device: DeviceSpec,
-    precision: str,
-):
-    """Cost-model columns of one configuration over a profile batch.
-
-    The vectorised entry point :func:`repro.gpu.batch.estimate_batch`
-    dispatches here for any ``fmt?...`` key.  Default configurations
-    return the registered batch kernel's columns unchanged — the
-    bit-identity anchor of the whole tuning space.
-    """
-    config = coerce(config)
-    try:
-        base = BATCH_KERNEL_MODELS[config.format]
-    except KeyError:
-        raise ConfigError(
-            f"no kernel model for format {config.format!r}"
-        ) from None
-    if config.is_default:
-        return base(batch, device, precision)
-    model = _CONFIG_BATCH_MODELS.get(config.format)
-    if model is None:  # unreachable for grid configs: paramless formats
-        return base(batch, device, precision)
-    return model(batch, device, precision, config)
-
-
-def estimate_config(
-    config: Union[Configuration, str],
-    profile: MatrixProfile,
-    device: DeviceSpec,
-    precision: str = "single",
-) -> CostBreakdown:
-    """Scalar estimate of one configuration (batch-of-one bridge).
-
-    :func:`repro.gpu.kernels.estimate_time` dispatches here for
-    configuration keys, so scalar and batched estimates agree by
-    construction.
-    """
-    batch = ProfileBatch.from_profiles([profile])
-    cols = batch_columns(config, batch, device, precision)
-    return CostBreakdown(
-        **{name: float(np.asarray(cols[name]).reshape(-1)[0])
-           for name in _BREAKDOWN_FIELDS}
-    )
-
-
-# ---------------------------------------------------------------------------
-# Footprint + feasibility
-# ---------------------------------------------------------------------------
-
-
-def config_bytes_batch(
-    batch: ProfileBatch, config: Union[Configuration, str], precision: str
-) -> np.ndarray:
-    """Device footprint of a configuration per matrix (vectorised).
-
-    Twin of :func:`repro.gpu.batch.format_bytes_batch`; parameters that
-    change the stored geometry (HYB split, BSR block shape) change the
-    footprint, execution-only knobs (CSR lanes, ELL rows-per-thread) do
-    not.
-    """
-    config = coerce(config)
-    v = _itemsize(precision)
-    if config.is_default:
-        return format_bytes_batch(batch, config.format, precision)
-    if config.format == "hyb":
-        ell_slots, spill, _ = _hyb_split_geometry(batch, config.param("split"))
-        return ell_slots * (IDX + v) + spill * (2 * IDX + v)
-    if config.format == "bsr":
-        r, c = config.param("block_shape")
-        blocks = _bsr_block_count(batch, (r, c))
-        return blocks * (r * c) * v + blocks * IDX
-    return format_bytes_batch(batch, config.format, precision)
-
-
-def config_bytes(
-    profile: MatrixProfile, config: Union[Configuration, str], precision: str
-) -> float:
-    """Scalar device footprint of one configuration."""
-    batch = ProfileBatch.from_profiles([profile])
-    return float(config_bytes_batch(batch, config, precision)[0])
-
-
-def infeasible_batch(
-    batch: ProfileBatch, config: Union[Configuration, str]
-) -> Dict[int, Tuple[str, str]]:
-    """Parameter-specific infeasibilities over a batch.
-
-    Returns ``index -> (error_name, reason)`` for matrices the
-    configuration cannot run regardless of memory — currently the ELL
-    width cap.  The executor merges these into its feasibility sweep
-    (same strings as the scalar :func:`check_feasible_config` path).
-    """
-    config = coerce(config)
-    out: Dict[int, Tuple[str, str]] = {}
-    if config.format == "ell":
-        cap = config.param("width_cap")
-        if cap is not None:
-            bad = (batch.nnz != 0) & (batch.nnz_max > cap)
-            for i in np.nonzero(bad)[0]:
-                i = int(i)
-                out[i] = (
-                    "KernelFailure",
-                    f"ELL width {int(batch.nnz_max[i])} exceeds the "
-                    f"configured width cap {cap}",
-                )
-    return out
-
-
-def check_feasible_config(
-    profile: MatrixProfile, config: Union[Configuration, str]
-) -> None:
-    """Raise for parameter-specific infeasibilities (scalar twin)."""
-    from .gpu.executor import KernelFailure
-
-    batch = ProfileBatch.from_profiles([profile])
-    failures = infeasible_batch(batch, config)
-    if failures:
-        _, reason = failures[0]
-        raise KernelFailure(reason)
+    return True
 
 
 # ---------------------------------------------------------------------------

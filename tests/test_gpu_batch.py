@@ -1,10 +1,11 @@
-"""Batched cost-model evaluation: bit-identical to the scalar path.
+"""Batched cost-model evaluation across batch sizes.
 
-The contract under test (see DESIGN.md "Batched estimation"): for every
-format, device and precision, ``estimate_batch`` / ``benchmark_batch``
-must reproduce the per-call scalar results *exactly* — same floats bit
-for bit, same failure strings, same noise stream — so the batched sweep
-is interchangeable with historical per-pair loops.
+The scalar entry points (``estimate_time``, ``check_feasible``,
+``benchmark``) are batches of one, so these tests check that a batch of
+N reproduces N batches of one *exactly* — same floats bit for bit, same
+failure strings, same noise stream — i.e. that no model couples the
+rows of a batch.  The values themselves are pinned by
+``tests/test_cost_golden.py``.
 """
 
 import numpy as np

@@ -478,7 +478,6 @@ class TestConfigurationDecisions:
         import warnings
 
         from repro import tuning
-        from repro._compat import reset_warning_registry
 
         service = SelectionService(simulator=simulator, mode="indirect")
         times = {"csr?lanes=8": 1.0, "csr": 2.0}
@@ -492,13 +491,10 @@ class TestConfigurationDecisions:
         assert event.chosen == "csr?lanes=8"
         event = service.record_feedback("c", times, chosen="csr?lanes=8")
         assert event.chosen == "csr?lanes=8"
-        reset_warning_registry()
+        # A bare format name is its default configuration's key: it is
+        # accepted without a deprecation warning (the shim is retired).
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            service.record_feedback("d", times, chosen="csr")
-        assert any(w.category is DeprecationWarning for w in caught)
-        # Once per process: the next bare string is silent.
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            service.record_feedback("e", times, chosen="csr")
+            event = service.record_feedback("d", times, chosen="csr")
+        assert event.chosen == "csr"
         assert not any(w.category is DeprecationWarning for w in caught)

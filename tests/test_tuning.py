@@ -1,10 +1,9 @@
 """The joint format+parameter tuning space (:mod:`repro.tuning`).
 
-Covers the PR's acceptance properties: every grid configuration
-round-trips through its string key, is feasible-or-masked in the
-batched cost models, default configurations are bit-identical to the
-bare formats they canonicalise to, and tuned campaign datasets are
-bit-identical for any worker count.
+Every grid configuration round-trips through its string key and is
+feasible-or-masked in the cost models, default configurations are
+bit-identical to the bare formats they canonicalise to, and tuned
+campaign datasets are bit-identical for any worker count.
 """
 
 import math
@@ -18,7 +17,7 @@ from hypothesis import strategies as st
 from repro import tuning
 from repro.formats import FORMAT_NAMES, COOMatrix, as_format
 from repro.formats.base import FormatError
-from repro.gpu import KEPLER_K40C, PASCAL_P100, SpMVExecutor, profile_matrix
+from repro.gpu import KEPLER_K40C, SpMVExecutor, profile_matrix
 from repro.gpu.batch import ProfileBatch, estimate_batch, format_bytes_batch
 from repro.gpu.kernels import estimate_time
 from repro.matrices import SyntheticCorpus
@@ -68,10 +67,12 @@ def test_coerce_accepts_all_spellings_and_warns_on_bare_strings():
     assert tuning.coerce(cfg) is cfg
     assert tuning.coerce("hyb?split=2") == cfg
     assert tuning.coerce({"format": "hyb", "params": {"split": 2.0}}) == cfg
+    # A bare format name is the key of its default configuration; the
+    # deprecation shim for it is retired, so it coerces silently.
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        tuning.coerce("hyb", context="test_coerce_spellings")
-    assert any(issubclass(w.category, DeprecationWarning) for w in caught)
+        assert tuning.coerce("hyb") == tuning.Configuration.default("hyb")
+    assert not any(issubclass(w.category, DeprecationWarning) for w in caught)
 
 
 def test_tuned_space_defaults_first_per_format():
@@ -114,18 +115,6 @@ def test_default_columns_bit_identical_to_base_formats():
             tuned.seconds[:, tuned.column(fmt)],
             base.seconds[:, base.column(fmt)],
         )
-
-
-def test_scalar_estimates_match_batch_cells():
-    profiles = _profiles(6)
-    batch = ProfileBatch.from_profiles(profiles)
-    keys = ("csr?lanes=8", "ell?rows_per_thread=4", "hyb?split=2",
-            "bsr?block_shape=2x2")
-    cost = estimate_batch(batch, keys, PASCAL_P100, "double")
-    for i, prof in enumerate(profiles):
-        for key in keys:
-            scalar = estimate_time(key, prof, PASCAL_P100, "double")
-            assert scalar.seconds == cost.at(i, key).seconds
 
 
 def test_config_footprint_matches_batch():
@@ -188,8 +177,8 @@ def test_property_config_estimates_round_trip_and_stay_positive(key, seed):
     prof = profile_matrix(COOMatrix.from_dense(dense))
     batch = ProfileBatch.from_profiles([prof])
     cost = estimate_batch(batch, (key,), KEPLER_K40C, "single")
-    infeasible = tuning.infeasible_batch(batch, config)
-    if 0 not in infeasible:
+    ex = SpMVExecutor(KEPLER_K40C, "single")
+    if key not in ex.feasibility_batch(batch, (key,))[0]:
         assert np.isfinite(cost.seconds[0, 0]) and cost.seconds[0, 0] > 0
         assert estimate_time(key, prof, KEPLER_K40C, "single").seconds == \
             cost.at(0, key).seconds
