@@ -826,9 +826,9 @@ def format_bytes_batch(
     :class:`~repro.tuning.Configuration`.  Parameters that change the
     stored geometry (HYB split, BSR block shape) change the footprint;
     execution-only knobs (CSR lanes, ELL rows-per-thread and width cap)
-    do not.  Every value is an exact integer below 2**53, so the
-    executor's OOM comparison is exact whether the array is int64 or
-    float64.
+    do not.  Values are exact (integers below 2**53, plus CSR5's
+    fractional bit-flag term), so the executor's OOM comparison is
+    exact whether the array is int64 or float64.
     """
     config = fmt if isinstance(fmt, Configuration) else _configuration(fmt)
     v = _itemsize(precision)

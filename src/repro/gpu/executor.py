@@ -341,7 +341,6 @@ class SpMVExecutor:
             batch, tuple(formats), self.device, self.precision
         )
         col = {fmt: j for j, fmt in enumerate(cost.formats)}
-        s = self.noise.sigma_run
         sweeps: List[BenchmarkSweep] = []
         for i, prof in enumerate(profiles):
             fail_i = failures[i]
@@ -358,11 +357,9 @@ class SpMVExecutor:
                     )
                     continue
                 feasible.append(fmt)
-            if s > 0.0 and feasible:
-                z = self.rng.standard_normal(reps * len(feasible))
-                factors = np.exp(s * z - 0.5 * s * s).reshape(len(feasible), reps)
-            else:
-                factors = np.ones((len(feasible), reps))
+            factors = self.noise.run_factors(
+                self.rng, reps * len(feasible)
+            ).reshape(len(feasible), reps)
             samples: Dict[str, Optional[TimingSample]] = {
                 fmt: None for fmt in formats
             }

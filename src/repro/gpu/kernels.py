@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .batch import IDX, KERNEL_MODELS, CostBreakdown, estimate_batch  # noqa: F401
+from .batch import KERNEL_MODELS, CostBreakdown, estimate_batch
 from .device import DeviceSpec
 from .profile import MatrixProfile
 

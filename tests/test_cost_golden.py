@@ -15,7 +15,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.gpu import DEVICES, ProfileBatch, SimulationError, SpMVExecutor, estimate_batch, profile_matrix
+from repro.gpu import (
+    DEVICES,
+    ProfileBatch,
+    SimulationError,
+    SpMVExecutor,
+    estimate_batch,
+    profile_matrix,
+)
 from repro.gpu.kernels import estimate_time
 
 REPO = Path(__file__).resolve().parent.parent

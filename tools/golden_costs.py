@@ -17,8 +17,8 @@ physics can be restructured without silently changing any dataset:
 
 Usage::
 
-    PYTHONPATH=src python tools/golden_costs.py --out tests/golden/cost_models.json
-    PYTHONPATH=src python tools/golden_costs.py --check
+    PYTHONPATH=src python tools/golden_costs.py            # rewrite the fixture
+    PYTHONPATH=src python tools/golden_costs.py --check    # exit 1 on drift
 
 ``tests/test_cost_golden.py`` compares the live package against the
 committed file.
@@ -38,7 +38,14 @@ import numpy as np
 from repro import tuning
 from repro.bench.campaign import run_campaign
 from repro.formats import COOMatrix
-from repro.gpu import DEVICES, KEPLER_K40C, ProfileBatch, SpMVExecutor, estimate_batch, profile_matrix
+from repro.gpu import (
+    DEVICES,
+    KEPLER_K40C,
+    ProfileBatch,
+    SpMVExecutor,
+    estimate_batch,
+    profile_matrix,
+)
 from repro.gpu.kernels import KERNEL_MODELS
 from repro.matrices import SyntheticCorpus
 from repro.matrices.generators import GENERATOR_FAMILIES
@@ -169,21 +176,20 @@ def dumps(rec: Dict) -> str:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--out", type=Path, help="write the fixture here")
+    ap.add_argument("--out", type=Path, default=FIXTURE,
+                    help="write the fixture here (default: %(default)s)")
     ap.add_argument("--check", action="store_true",
-                    help=f"compare against {FIXTURE.name}; exit 1 on drift")
+                    help="compare against the committed fixture instead; exit 1 on drift")
     args = ap.parse_args(argv)
     text = dumps(record())
-    if args.out is not None:
-        args.out.parent.mkdir(parents=True, exist_ok=True)
-        args.out.write_text(text)
     if args.check:
         if FIXTURE.read_text() != text:
             print(f"cost models drifted from {FIXTURE}", file=sys.stderr)
             return 1
         print("cost models match the golden fixture")
-    if args.out is None and not args.check:
-        sys.stdout.write(text)
+        return 0
+    args.out.parent.mkdir(parents=True, exist_ok=True)
+    args.out.write_text(text)
     return 0
 
 
