@@ -321,9 +321,6 @@ class _BaseBooster(BaseEstimator):
         """
         self.compiled_ = _compiled.compile_boost(self._flat_trees())
 
-    def _post_restore(self) -> None:
-        if getattr(self, "compiled_", None) is None and hasattr(self, "trees_"):
-            self._compile()
 
 
 class GradientBoostingRegressor(_BaseBooster):

@@ -82,12 +82,6 @@ class _BaseForest(BaseEstimator):
     def _value_width(self) -> int:
         raise NotImplementedError
 
-    def _post_restore(self) -> None:
-        if getattr(self, "compiled_", None) is None and hasattr(self, "trees_"):
-            self.compiled_ = _compiled.compile_cart_forest(
-                self.trees_, self._value_width()
-            )
-
 
 class RandomForestClassifier(_BaseForest):
     """Probability-averaging bagged CART classifier."""

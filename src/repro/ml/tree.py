@@ -263,14 +263,6 @@ class _BaseTree(BaseEstimator):
 
     # prediction --------------------------------------------------------------
 
-    def _post_restore(self) -> None:
-        # v1 artifacts carry only the node graph; recompile so restored
-        # models serve from flat arrays too (v2 artifacts skip this).
-        if getattr(self, "compiled_", None) is None and hasattr(self, "root_"):
-            self.compiled_ = _compiled.compile_cart(
-                self.root_, self.root_.value.size
-            )
-
     def _predict_values(self, X: np.ndarray) -> np.ndarray:
         """Route all samples through the tree, returning leaf values."""
         self._require_fitted("root_")

@@ -20,6 +20,15 @@ digest, the artifact schema version and an integrity checksum; loading
 verifies schema and checksum before decoding and raises
 :class:`RegistryError` on any mismatch — a corrupt or tampered artifact
 can never be served silently.
+
+Saves are crash-consistent.  A new version is written into a hidden
+``.staging-vNNNN-*`` directory (which no version name matches, so every
+reader ignores it), its two files and the directory are fsynced, and
+one rename publishes it as ``vNNNN``; the model directory is fsynced
+after.  ``PRODUCTION`` is replaced through a temp file and
+``os.replace``.  An interrupted save thus leaves the visible registry
+as it was.  Artifacts use the pooled v3 layout of
+:mod:`repro.ml.serialize`; v2 artifacts still load.
 """
 
 from __future__ import annotations
@@ -27,7 +36,10 @@ from __future__ import annotations
 import datetime as _dt
 import hashlib
 import json
+import os
 import re
+import shutil
+import uuid
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Union
@@ -39,15 +51,13 @@ from ..ml.serialize import SerializationError, load_payload, save_payload
 
 __all__ = ["ModelRegistry", "ModelRecord", "RegistryError", "ARTIFACT_SCHEMA"]
 
-#: Artifact schema tag written by this build.  v2 payloads carry the
-#: compiled flat-array inference tables (``repro.ml.compiled``); v1
-#: artifacts are still readable — estimators recompile their tables
-#: from the node graphs on restore (see ``SCHEMA_COMPAT`` in
-#: :mod:`repro.ml.serialize`).
-ARTIFACT_SCHEMA = "repro-serve-artifact/v2"
+#: Artifact schema tag written by this build.  v3 pools the arrays
+#: into a few ``.npz`` members (see :mod:`repro.ml.serialize`); v2
+#: artifacts, one member per array, are still read.
+ARTIFACT_SCHEMA = "repro-serve-artifact/v3"
 
 #: Schema tags this build accepts when loading.
-_READABLE_SCHEMAS = (ARTIFACT_SCHEMA, "repro-serve-artifact/v1")
+_READABLE_SCHEMAS = (ARTIFACT_SCHEMA, "repro-serve-artifact/v2")
 
 _VERSION_RE = re.compile(r"^v(\d{4,})$")
 
@@ -84,6 +94,40 @@ def _sha256(path: Path) -> str:
         for block in iter(lambda: fh.read(1 << 20), b""):
             h.update(block)
     return h.hexdigest()
+
+
+def _fsync(path: Path) -> None:
+    """Flush a file's data, or a directory's entries, to disk."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
+def _write_synced(path: Path, text: str) -> None:
+    with open(path, "w") as fh:
+        fh.write(text)
+        fh.flush()
+        os.fsync(fh.fileno())
+
+
+def _hidden(parent: Path, stem: str) -> Path:
+    """A fresh dot-name in ``parent`` (default permissions, unlike
+    ``tempfile``'s owner-only ones)."""
+    return parent / f".{stem}-{uuid.uuid4().hex[:12]}"
+
+
+def _replace_text(path: Path, text: str) -> None:
+    """Swap ``path``'s content atomically: a temp file, then ``os.replace``."""
+    tmp = _hidden(path.parent, path.name)
+    try:
+        _write_synced(tmp, text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    _fsync(path.parent)
 
 
 def _feature_names(feature_set) -> List[str]:
@@ -161,16 +205,42 @@ class ModelRegistry:
         next_id = 1 + (int(_VERSION_RE.match(versions[-1]).group(1))
                        if versions else 0)
         version = f"v{next_id:04d}"
-        vdir = self._model_dir(name) / version
-        vdir.mkdir(parents=True, exist_ok=False)
+        mdir = self._model_dir(name)
+        mdir.mkdir(parents=True, exist_ok=True)
+        # Write the version into a hidden staging directory, then publish
+        # it with one rename: a crash before the rename leaves no
+        # half-written version, only a directory every reader ignores.
+        stage = _hidden(mdir, f"staging-{version}")
+        stage.mkdir()
+        try:
+            meta = self._write_version(model, kind, name, version, stage,
+                                       dataset, extra_meta)
+            vdir = mdir / version
+            try:
+                os.rename(stage, vdir)
+            except OSError as exc:
+                raise RegistryError(
+                    f"cannot publish {name}:{version}: {exc}") from exc
+        except BaseException:
+            shutil.rmtree(stage, ignore_errors=True)
+            raise
+        _fsync(mdir)
+        record = ModelRecord(name=name, version=version, path=vdir, meta=meta)
+        if promote:
+            self.promote(name, version)
+        return record
 
+    def _write_version(self, model, kind: str, name: str, version: str,
+                       vdir: Path, dataset, extra_meta: Optional[Dict]) -> Dict:
+        """Write ``artifact.npz`` and ``meta.json`` into ``vdir`` and
+        flush both (and the directory) to disk; returns the metadata."""
         payload = {"kind": kind, "wrapper": model.get_state()}
         artifact = vdir / "artifact.npz"
         try:
             save_payload(payload, artifact, schema=ARTIFACT_SCHEMA)
         except SerializationError as exc:
             raise RegistryError(f"cannot serialize model: {exc}") from exc
-
+        _fsync(artifact)
         formats = getattr(model, "formats_", None)
         meta = {
             "schema": ARTIFACT_SCHEMA,
@@ -194,11 +264,10 @@ class ModelRegistry:
         }
         if extra_meta:
             meta.update(extra_meta)
-        (vdir / "meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
-        record = ModelRecord(name=name, version=version, path=vdir, meta=meta)
-        if promote:
-            self.promote(name, version)
-        return record
+        _write_synced(vdir / "meta.json",
+                      json.dumps(meta, indent=2, sort_keys=True) + "\n")
+        _fsync(vdir)
+        return meta
 
     # -- load --------------------------------------------------------------
 
@@ -320,7 +389,7 @@ class ModelRegistry:
                 f"cannot promote {name}:{version}; available: {versions}"
             )
         previous = self.production_version(name)
-        (self._model_dir(name) / "PRODUCTION").write_text(version + "\n")
+        _replace_text(self._model_dir(name) / "PRODUCTION", version + "\n")
         entry = {
             "ts": _dt.datetime.now(_dt.timezone.utc).isoformat(
                 timespec="seconds"),

@@ -28,7 +28,7 @@ from repro.ml import (
 from repro.ml import compiled as C
 from repro.ml.compiled import TreeTable, node_path
 from repro.ml.preprocessing import Pipeline, StandardScaler
-from repro.ml.serialize import load_estimator, save_estimator, save_payload
+from repro.ml.serialize import load_estimator, save_estimator
 
 
 @pytest.fixture(scope="module")
@@ -241,32 +241,19 @@ class TestRoundTrips:
     def test_loaded_table_used_without_recompile(
         self, clf_data, tmp_path, monkeypatch
     ):
-        # A v2 artifact carries its table; loading must not re-lower.
+        # An artifact carries its table; loading must not re-lower.
         X, y = clf_data
         est = GradientBoostingClassifier(n_estimators=4, max_depth=3).fit(X, y)
         path = tmp_path / "m.npz"
         save_estimator(est, path)
 
         def boom(*a, **kw):  # pragma: no cover - would mean recompile ran
-            raise AssertionError("compile_boost called on v2 load")
+            raise AssertionError("compile_boost called on load")
 
         monkeypatch.setattr(C, "compile_boost", boom)
         restored = load_estimator(path)
         assert isinstance(restored.compiled_, TreeTable)
         assert np.array_equal(est.predict(X), restored.predict(X))
-
-    def test_v1_artifact_recompiles_on_load(self, clf_data, tmp_path):
-        # A v1-era artifact has no compiled table: strip it, write under
-        # the old schema tag, and check the load path rebuilds it.
-        X, y = clf_data
-        est = GradientBoostingClassifier(n_estimators=4, max_depth=3).fit(X, y)
-        ref = est.decision_function(X)
-        del est.compiled_
-        path = tmp_path / "m.npz"
-        save_payload(est, path, schema="repro-ml-state/v1")
-        restored = load_estimator(path)
-        assert isinstance(restored.compiled_, TreeTable)
-        assert np.array_equal(ref, restored.decision_function(X))
 
     def test_model_registry_round_trip(self, mini_dataset, tmp_path):
         from repro.serve import ModelRegistry
