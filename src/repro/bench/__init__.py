@@ -30,38 +30,24 @@ from .experiments import (  # noqa: F401
     slowdown_analysis,
     twin_matrices,
 )
-from .loadgen import run_load  # noqa: F401
 from .runner import (  # noqa: F401
     CONFIGS,
-    BenchConfig,
     bench_config,
     bench_corpus,
     bench_dataset,
-    bench_max_nnz,
-    bench_reps,
-    bench_scale,
-    bench_seed,
-    bench_workers,
 )
 from .tables import caption, format_pct, render_series, render_table  # noqa: F401
 
 __all__ = [
     "CONFIGS",
     "MODELS",
-    "BenchConfig",
     "CampaignProgress",
     "CampaignResult",
     "MatrixResult",
     "run_campaign",
-    "run_load",
     "bench_config",
     "bench_corpus",
     "bench_dataset",
-    "bench_scale",
-    "bench_max_nnz",
-    "bench_seed",
-    "bench_reps",
-    "bench_workers",
     "corpus_statistics",
     "twin_matrices",
     "format_gflops_sweep",

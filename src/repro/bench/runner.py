@@ -18,8 +18,7 @@ dataset per (device, precision).  This module owns that lifecycle:
   the right dataset instead of serving a stale one.
 
 Every entry point takes an optional ``config=`` argument defaulting to
-``ReproConfig.from_env()``; the historical per-field readers
-(``bench_scale`` …) survive as deprecation shims.
+``ReproConfig.from_env()``.
 """
 
 from __future__ import annotations
@@ -27,20 +26,13 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Optional, Tuple
 
-from .._compat import deprecated
 from ..config import ReproConfig
 from ..core import SpMVDataset, build_dataset
 from ..gpu import DEVICES, DeviceSpec
 from ..matrices import SyntheticCorpus
 
 __all__ = [
-    "BenchConfig",
     "bench_config",
-    "bench_scale",
-    "bench_max_nnz",
-    "bench_seed",
-    "bench_reps",
-    "bench_workers",
     "bench_corpus",
     "bench_dataset",
     "CONFIGS",
@@ -54,45 +46,10 @@ CONFIGS: Tuple[Tuple[str, str], ...] = (
     ("p100", "double"),
 )
 
-#: Historical name of the resolved-environment snapshot; the unified
-#: :class:`repro.config.ReproConfig` replaced it (same fields, same
-#: hashability) and the alias keeps old imports working.
-BenchConfig = ReproConfig
-
 
 def bench_config() -> ReproConfig:
     """Resolve the ``REPRO_*`` environment into a :class:`ReproConfig`."""
     return ReproConfig.from_env()
-
-
-@deprecated("ReproConfig.from_env().scale")
-def bench_scale() -> float:
-    """Corpus scale for benches (env ``REPRO_SCALE``, default 0.1)."""
-    return bench_config().scale
-
-
-@deprecated("ReproConfig.from_env().max_nnz")
-def bench_max_nnz() -> int:
-    """Per-matrix nnz cap (env ``REPRO_MAX_NNZ``, default 2e6)."""
-    return bench_config().max_nnz
-
-
-@deprecated("ReproConfig.from_env().seed")
-def bench_seed() -> int:
-    """Master seed (env ``REPRO_SEED``, default 0)."""
-    return bench_config().seed
-
-
-@deprecated("ReproConfig.from_env().reps")
-def bench_reps() -> int:
-    """Repetitions per (matrix, format) (env ``REPRO_REPS``, default 50)."""
-    return bench_config().reps
-
-
-@deprecated("ReproConfig.from_env().workers")
-def bench_workers() -> int:
-    """Campaign worker processes (env ``REPRO_WORKERS``, default 1)."""
-    return bench_config().workers
 
 
 @lru_cache(maxsize=4)

@@ -26,9 +26,6 @@ Subcommands cover the full workflow a downstream user needs:
 * ``adapt``    — inspect and drive the adaptive-promotion machinery
   offline: ``status``, the ``history`` audit trail, manual ``promote``
   and ``rollback`` of the production alias.
-* ``perf``     — run the tracked performance benchmarks (one-pass
-  analysis, presorted tree/boosting fits, serving latency, obs
-  overhead) and write ``BENCH_<date>.json``.
 * ``obs``      — pretty-print (and ``--check`` validate) observability
   snapshot files written by ``--metrics-out`` or a daemon's
   ``snapshot_every`` flight recorder.
@@ -289,18 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--registry", type=Path, required=True)
     ap.add_argument("--name", required=True)
     ap.add_argument("--reason", default="manual")
-
-    p = sub.add_parser(
-        "perf",
-        help="run the tracked performance benchmarks",
-        description="Time the one-pass matrix analyzer, labeling, and "
-        "presorted tree/boosting fits against their historical "
-        "implementations and write BENCH_<date>.json.",
-    )
-    p.add_argument("--quick", action="store_true",
-                   help="seconds-long smoke run (same code paths, small samples)")
-    p.add_argument("--out", type=Path, default=None,
-                   help="output JSON path (default: ./BENCH_<date>.json)")
 
     p = sub.add_parser(
         "obs",
@@ -784,17 +769,6 @@ def _cmd_adapt(args) -> int:
     return 0
 
 
-def _cmd_perf(args) -> int:
-    from .bench.perf import main as perf_main
-
-    argv = []
-    if args.quick:
-        argv.append("--quick")
-    if args.out is not None:
-        argv.extend(["--out", str(args.out)])
-    return perf_main(argv)
-
-
 def _load_snapshot(path: Path) -> dict:
     """Read one snapshot from a ``--metrics-out`` JSON file or a
     JSON-lines event stream (last snapshot-carrying event wins)."""
@@ -872,7 +846,6 @@ _COMMANDS = {
     "registry": _cmd_registry,
     "serve": _cmd_serve,
     "adapt": _cmd_adapt,
-    "perf": _cmd_perf,
     "obs": _cmd_obs,
 }
 

@@ -25,7 +25,6 @@ from typing import Dict, Sequence, Union
 
 import numpy as np
 
-from .._compat import deprecated
 from ..ml import (
     BaseEstimator,
     DecisionTreeRegressor,
@@ -199,11 +198,6 @@ class PerformancePredictor:
             for k, fmt in enumerate(self.formats_):
                 out[:, k] = np.exp(self.models_[fmt].predict(X))
         return out
-
-    @deprecated("PerformancePredictor.predict")
-    def predict_times(self, data: Union[SpMVDataset, np.ndarray]) -> np.ndarray:
-        """Deprecated alias of :meth:`predict`."""
-        return self.predict(data)
 
     def predict_best(self, data: Union[SpMVDataset, np.ndarray]) -> np.ndarray:
         """Format index with minimum *predicted* time per sample."""

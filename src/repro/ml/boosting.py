@@ -21,8 +21,8 @@ sorted index lists are partitioned stably down the nodes (see
 subsampling (``subsample < 1``) each tree sees a different sample set,
 so the root sort is per-tree — still hoisted out of the per-node loop.
 Splits and predictions are bit-identical to the historical per-node
-sorting implementation (``presort=False`` keeps it selectable; the
-perf harness uses it as the before/after baseline).
+sorting implementation (``presort=False`` keeps it selectable as the
+oracle of ``tests/test_ml_presort_equivalence.py``).
 
 Feature importance is reported both ways XGBoost does:
 

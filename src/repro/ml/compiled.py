@@ -31,9 +31,9 @@ walk's: the tables carry the same float64 thresholds and leaf payloads,
 the traversal applies the same ``<=`` comparisons, and the ensemble
 wrappers accumulate member outputs in the same order with the same
 operations.  The node-graph walk stays in the estimators as the
-reference implementation (the ``analyze_matrix`` two-pass precedent);
-:func:`node_path` forces it for the perf harness and the equivalence
-tests in ``tests/test_ml_compiled.py``.
+reference implementation; :func:`node_path` forces it for the
+equivalence tests in ``tests/test_ml_compiled.py``, which use it as
+their oracle.
 """
 
 from __future__ import annotations
@@ -60,8 +60,8 @@ _FORCE_NODE_PATH = False
 def node_path():
     """Force the node-graph reference path inside the block.
 
-    Used by the perf harness (``ml_inference`` before/after) and the
-    compiled-vs-node equivalence tests.  Not meant for concurrent use —
+    Used as the oracle of the compiled-vs-node equivalence tests
+    (``tests/test_ml_compiled.py``).  Not meant for concurrent use —
     the flag is process-wide.
     """
     global _FORCE_NODE_PATH

@@ -19,11 +19,10 @@ Because both the root argsort and the partition are stable, the value
 per-node ``np.argsort(kind="stable")`` implementation, so splits,
 thresholds and predictions are bit-for-bit unchanged (asserted by
 ``tests/test_ml_presort_equivalence.py``).  ``presort=False`` keeps the
-historical per-node sorting path selectable — the perf harness uses it
-as its before/after baseline.  Fits smaller than
-:data:`PRESORT_MIN_SAMPLES` dispatch to the per-node path even under
-``presort=True``: there the root argsort and index bookkeeping cost
-more than they save.
+historical per-node sorting path selectable as that test's oracle.
+Fits smaller than :data:`PRESORT_MIN_SAMPLES` dispatch to the per-node
+path even under ``presort=True``: there the root argsort and index
+bookkeeping cost more than they save.
 """
 
 from __future__ import annotations

@@ -19,8 +19,7 @@ Observability is **off** unless :func:`enable` runs (the CLI's
 instrumentation point is a single module-attribute read plus a branch —
 ``span()`` hands back a shared no-op context manager and the metric
 helpers return immediately — so instrumented hot paths stay within ~2%
-of their uninstrumented cost (guarded by ``tests/test_obs.py`` and
-reported by ``repro-spmv perf``).
+of their uninstrumented cost (guarded by ``tests/test_obs.py``).
 
 Quickstart
 ----------

@@ -4,8 +4,8 @@ The unified :func:`repro.analysis.analyze_matrix` must reproduce the
 historical back-to-back ``profile_matrix`` + ``extract_features``
 results *exactly* — same floats to the last bit, not approximately —
 because labels, digests and every downstream model are keyed off them.
-The pre-refactor implementations are frozen in
-:mod:`repro.analysis` precisely to anchor this test.
+The pre-refactor implementations are frozen in ``_analysis_oracle``
+precisely to anchor this test.
 """
 
 import dataclasses
@@ -13,16 +13,13 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.analysis import (
-    MatrixAnalysis,
-    analyze_matrix,
-    extract_features_two_pass,
-    profile_matrix_two_pass,
-)
+from repro.analysis import MatrixAnalysis, analyze_matrix
 from repro.features import ALL_FEATURES, extract_features
 from repro.formats import COOMatrix
 from repro.gpu import profile_matrix
 from repro.matrices import SyntheticCorpus, banded, power_law, random_uniform
+
+from _analysis_oracle import extract_features_two_pass, profile_matrix_two_pass
 
 
 def _bits(x: float) -> bytes:

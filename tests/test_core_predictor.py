@@ -16,7 +16,7 @@ def split(mini_dataset):
 
 
 class TestJointMode:
-    def test_predict_times_shape_and_positivity(self, split):
+    def test_predict_shape_and_positivity(self, split):
         train, test = split
         pp = PerformancePredictor("xgboost", feature_set="set12", mode="joint")
         pp.fit(train)
