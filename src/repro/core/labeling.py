@@ -16,10 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
 
-from .. import tuning
 from ..features import extract_features
 from ..formats import FORMAT_NAMES, SparseFormat
 from ..gpu import MatrixProfile, SpMVExecutor
+from ..gpu.batch import known_formats
 
 from ..config import DEFAULT_REPS  # noqa: F401  (canonical home: repro.config)
 
@@ -114,12 +114,14 @@ def label_matrix(
     gflops: Dict[str, float] = {}
     failed: Dict[str, str] = {}
     # One batched sweep covers every known format and configuration key
-    # ("hyb?split=2"): feasibility, cost models and noise sampling.
-    known = [fmt for fmt in formats if tuning.is_known_key(fmt)]
+    # ("hyb?split=2"): feasibility, cost models and noise sampling.  The
+    # known keys come from the sweep's cached plan, so no key is parsed
+    # per matrix.
+    known = known_formats(formats)
     for fmt in formats:
         if fmt not in known:  # the KeyError a per-format call would raise
             failed[fmt] = f"KeyError: {fmt!r}"
-    sweep = executor.benchmark_batch([prof], formats=tuple(known), reps=reps)[0]
+    sweep = executor.benchmark_batch([prof], formats=known, reps=reps)[0]
     for fmt in known:
         sample = sweep[fmt]
         if sample is None:  # simulated OOM / kernel failure

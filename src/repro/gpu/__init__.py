@@ -10,14 +10,18 @@ The subpackage provides:
 * :func:`~repro.gpu.profile.profile_matrix` — the one-pass structural
   analysis feeding the cost models,
 * :func:`~repro.gpu.batch.estimate_batch` — the per-format kernel cost
-  models (one vectorised, parameterised model per format) evaluated as
-  one N×F sweep, and :func:`~repro.gpu.kernels.estimate_time` — the
-  same models for one (matrix, format) pair, as a batch of one,
+  models evaluated as one N×F sweep: one vectorised call per format
+  covers all of that format's configurations, and the parsed keys and
+  column layout come from a plan cached per key tuple;
+  :func:`~repro.gpu.kernels.estimate_time` is the same sweep for one
+  (matrix, format) pair,
 * :class:`~repro.gpu.executor.SpMVExecutor` — the measurement harness
   implementing the paper's 50-repetition averaging protocol, with
   simulated OOM / kernel-failure modes and calibrated noise; its
+  :meth:`~repro.gpu.executor.SpMVExecutor.sweep` derives every
+  feasibility mask from the same pass as the costs, and
   :meth:`~repro.gpu.executor.SpMVExecutor.benchmark_batch` sweeps whole
-  corpora through the batched models.
+  corpora through it.
 
 See DESIGN.md ("Substitutions") for why an analytical simulator
 preserves the behaviour the ML study depends on.
@@ -27,7 +31,6 @@ from .batch import (  # noqa: F401
     CostBreakdownBatch,
     ProfileBatch,
     estimate_batch,
-    format_bytes_batch,
 )
 from .cache import gather_traffic_bytes, gather_traffic_bytes_batch  # noqa: F401
 from .device import (  # noqa: F401
@@ -68,7 +71,6 @@ __all__ = [
     "ProfileBatch",
     "estimate_time",
     "estimate_batch",
-    "format_bytes_batch",
     "KERNEL_MODELS",
     "NoiseModel",
     "SpMVExecutor",

@@ -412,26 +412,22 @@ class SelectionService:
         """Per-configuration scores from one batched simulator sweep.
 
         All N profiles × F configurations are estimated in a single
-        vectorised :meth:`~repro.gpu.SpMVExecutor.estimate_batch` call;
-        configurations the device cannot run (OOM, padding blow-up,
-        width-cap violations, degenerate kernels) are masked to ``inf``
-        so argmin/hybrid logic avoids them.  With ``energy_weight > 0``
-        the returned scores blend time with the energy proxy via
+        :meth:`~repro.gpu.SpMVExecutor.sweep`, which also returns which
+        cells the device cannot run (OOM, padding blow-up, width-cap
+        violations, degenerate kernels); those are masked to ``inf``
+        column by column, so argmin/hybrid logic avoids them even when
+        the vocabulary repeats a key.  With ``energy_weight > 0`` the
+        returned scores blend time with the energy proxy via
         :func:`repro.tuning.scalarize` (still ``inf`` where infeasible).
         """
         ex = self.simulator
-        batch = ProfileBatch.from_profiles(profiles)
-        cost = ex.estimate_batch(batch, self.formats)
-        seconds = cost.seconds.copy()
+        cost, failed = ex.sweep(ProfileBatch.from_profiles(profiles), self.formats)
         if self.energy_weight > 0.0:
             energy = tuning.energy_joules(cost, ex.device)
-            scores = tuning.scalarize(seconds, energy, self.energy_weight)
+            scores = tuning.scalarize(cost.seconds, energy, self.energy_weight)
         else:
-            scores = seconds
-        for i, failed in enumerate(ex.feasibility_batch(batch, self.formats)):
-            for fmt in failed:
-                scores[i, cost.column(fmt)] = np.inf
-        scores[~np.isfinite(seconds)] = np.inf
+            scores = cost.seconds.copy()
+        scores[failed != 0] = np.inf
         scores[~np.isfinite(scores)] = np.inf
         return scores
 

@@ -19,13 +19,15 @@ This module widens the repo's decision vocabulary accordingly:
 * :data:`PARAMETER_GRIDS` — the per-format parameter grids the tuned
   campaign sweeps; :func:`format_grid` / :func:`tuned_space` enumerate
   them (default configuration first).
-* The cost models in :mod:`repro.gpu.batch` take a configuration as
-  their last argument (one parameterised model per format); non-default
-  parameters re-derive the affected geometry analytically from the
-  profile statistics (HYB split tables, BSR block counts at other
-  shapes) so no extra analysis pass is needed, and the executor's
-  feasibility sweep prunes parameter-specific infeasibilities (the ELL
-  width cap).
+* The cost models in :mod:`repro.gpu.batch` take the configurations of
+  their format as their last argument (one parameterised model per
+  format, called once per sweep with the parameter values as a row);
+  non-default parameters re-derive the affected geometry analytically
+  from the profile statistics (HYB split tables, BSR block counts at
+  other shapes) so no extra analysis pass is needed.  Keys are parsed
+  once per key tuple into a cached plan, and the executor's sweep
+  prunes parameter-specific infeasibilities (the ELL width cap) from
+  the same pass.
 * Energy proxy — :func:`energy_joules` derives a per-invocation energy
   estimate from the cost breakdown (DRAM traffic + arithmetic + static
   power), and :func:`scalarize` folds it into a multi-objective
@@ -61,7 +63,6 @@ __all__ = [
     "tuned_space",
     "default_space",
     "is_config_key",
-    "is_known_key",
     "base_format",
     "coerce",
     "energy_joules",
@@ -370,21 +371,6 @@ def is_config_key(name: str) -> bool:
 def base_format(name: str) -> str:
     """The format component of a configuration key (identity for bare names)."""
     return name.partition("?")[0]
-
-
-def is_known_key(name: str) -> bool:
-    """True when ``name`` is a bare kernel-model format or parses to a
-    valid configuration over one (the membership test the labeler
-    uses)."""
-    if name in PARAMETER_GRIDS:
-        return True
-    if not is_config_key(name):
-        return False
-    try:
-        Configuration.from_key(name)
-    except ConfigError:
-        return False
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -350,6 +350,29 @@ class TestSimulatorBackend:
         assert decision.predicted_times["ell"] == np.inf
         assert decision.chosen != "ell"
 
+    def test_repeated_infeasible_key_masked_in_every_column(self):
+        """A vocabulary that repeats an infeasible key (a dataset with a
+        repeated format) masks every copy, not just the first."""
+        from repro import tuning
+        from repro.formats import COOMatrix
+        from repro.gpu import KEPLER_K40C, SpMVExecutor
+
+        rng = np.random.default_rng(3)
+        row = np.concatenate([np.zeros(600, np.int64), rng.integers(1, 64, 200)])
+        col = np.concatenate([np.arange(600), rng.integers(0, 700, 200)])
+        wide = COOMatrix((64, 700), row, col, np.ones(row.size))
+        service = SelectionService(
+            simulator=SpMVExecutor(KEPLER_K40C), mode="indirect"
+        )
+        service.formats = ("ell?width_cap=512", "csr", "ell?width_cap=512")
+        service._format_configs = tuple(
+            tuning.Configuration.from_key(k) for k in service.formats
+        )
+        times = service._simulate_times([service.simulator.profile(wide)])
+        assert np.isinf(times[0, 0]) and np.isinf(times[0, 2])
+        assert np.isfinite(times[0, 1])
+        assert service.predict(wide).chosen == "csr"
+
     def test_dict_input_requires_predictor(self, simulator, matrices):
         service = SelectionService(simulator=simulator, mode="indirect")
         with pytest.raises(ValueError, match="matrix inputs"):

@@ -18,7 +18,7 @@ from repro import tuning
 from repro.formats import FORMAT_NAMES, COOMatrix, as_format
 from repro.formats.base import FormatError
 from repro.gpu import KEPLER_K40C, SpMVExecutor, profile_matrix
-from repro.gpu.batch import ProfileBatch, estimate_batch, format_bytes_batch
+from repro.gpu.batch import ProfileBatch, estimate_batch
 from repro.gpu.kernels import estimate_time
 from repro.matrices import SyntheticCorpus
 
@@ -119,10 +119,16 @@ def test_default_columns_bit_identical_to_base_formats():
 
 def test_config_footprint_matches_batch():
     batch = ProfileBatch.from_profiles(_profiles(6))
-    for key in ("hyb?split=0.5", "bsr?block_shape=8x8", "csr?lanes=16"):
-        per = format_bytes_batch(batch, key, "single")
+    keys = ("hyb?split=0.5", "bsr?block_shape=8x8", "csr?lanes=16")
+    swept = estimate_batch(batch, keys, KEPLER_K40C, "single").footprint
+    for j, key in enumerate(keys):
+        per = estimate_batch(batch, (key,), KEPLER_K40C, "single").footprint[:, 0]
         assert per.shape == (len(batch),)
         assert np.all(per > 0)
+        np.testing.assert_array_equal(per, swept[:, j])
+    # Execution-only knobs leave the stored geometry alone.
+    lanes = estimate_batch(batch, ("csr", "csr?lanes=16"), KEPLER_K40C, "single")
+    np.testing.assert_array_equal(lanes.footprint[:, 0], lanes.footprint[:, 1])
 
 
 def test_width_cap_infeasible_and_error_string_stable():
