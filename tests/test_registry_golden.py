@@ -37,3 +37,26 @@ def test_fixture_loads_bit_identically(fixture, tmp_path):
     copy = tmp_path / fixture.name
     shutil.copytree(fixture, copy)
     assert golden_registry.check(copy)
+
+
+def test_refit_reproduces_v2_selector(tmp_path):
+    """Refitting the fixture's training recipe rebuilds the committed
+    selector bit for bit: its compiled table and its importances.
+
+    This pins the booster fit to artifacts written by an earlier build,
+    not only to the ``presort=False`` oracle."""
+    import numpy as np
+
+    from repro.serve import ModelRegistry
+
+    copy = tmp_path / "registry_v2"
+    shutil.copytree(golden_registry.GOLDEN / "registry_v2", copy)
+    committed, _ = ModelRegistry(copy).load("selector")
+    _, refit, _ = golden_registry.train_models()
+    old, new = committed.estimator.compiled_, refit.estimator.compiled_
+    for name in ("feature", "threshold", "left", "right", "values"):
+        a, b = getattr(old, name), getattr(new, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    assert old.max_depth == new.max_depth
+    assert np.array_equal(committed.estimator.feature_importances_,
+                          refit.estimator.feature_importances_)
