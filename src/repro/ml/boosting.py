@@ -12,17 +12,20 @@ regularisation (``reg_lambda``), minimum split gain (``gamma``), and
 optional row subsampling.  Multiclass classification trains one tree
 per class per round on softmax gradients.
 
-Training uses **presorted features** throughout: the feature matrix
-``X`` never changes across boosting rounds (or across the per-class
-trees of one round), so the per-feature stable ``argsort`` is computed
-exactly once per ``fit`` and shared by every tree; inside a tree the
-sorted index lists are partitioned stably down the nodes (see
-:mod:`repro.ml.tree` for the same trick on standalone CART).  With row
-subsampling (``subsample < 1``) each tree sees a different sample set,
-so the root sort is per-tree — still hoisted out of the per-node loop.
-Splits and predictions are bit-identical to the historical per-node
-sorting implementation (``presort=False`` keeps it selectable as the
-oracle of ``tests/test_ml_presort_equivalence.py``).
+Training uses **presorted features**: every tree of a boosting round
+is fitted on the same rows (one tree per class, one row subsample per
+round), so one ``X[idx]``, its transpose and one stable ``argsort`` per
+feature are computed per round and shared by the round's trees; without
+row subsampling (``subsample=1``) one sort serves the whole fit.  Inside
+a tree the sorted index lists are partitioned stably down the nodes
+(see :mod:`repro.ml.tree` for the same trick on standalone CART).  A
+node scores every feature in one vectorised sweep, and computes the gain
+only on its *valid* cells: positions between two distinct feature
+values whose children both meet ``min_child_weight`` (about a third of
+the cells on the benchmark corpora).  Splits and predictions are
+bit-identical to the historical per-node sorting implementation
+(``presort=False`` keeps it selectable as the oracle of
+``tests/test_ml_presort_equivalence.py``).
 
 Feature importance is reported both ways XGBoost does:
 
@@ -60,6 +63,24 @@ class _BNode:
         return self.feature < 0
 
 
+class _Presorted:
+    """One sample matrix's features in sorted order, shared by the trees
+    fitted on it: ``order[f]`` lists the rows by ascending feature ``f``
+    (stable argsort), ``flat`` is ``X.T`` flattened with feature ``f``'s
+    values starting at ``offsets[f]``, and ``left`` is the boolean
+    scratch of the stable node partition."""
+
+    __slots__ = ("flat", "order", "offsets", "left")
+
+    def __init__(self, X: np.ndarray) -> None:
+        n, n_features = X.shape
+        XT = np.ascontiguousarray(X.T)
+        self.flat = XT.ravel()
+        self.order = np.argsort(XT, axis=1, kind="stable")
+        self.offsets = np.arange(n_features, dtype=np.intp)[:, None] * n
+        self.left = np.empty(n, dtype=bool)
+
+
 class _BoostTree:
     """One regression tree on (gradient, hessian) statistics."""
 
@@ -78,26 +99,19 @@ class _BoostTree:
         X: np.ndarray,
         g: np.ndarray,
         h: np.ndarray,
-        sorted_idx: Optional[np.ndarray] = None,
+        presorted: Optional[_Presorted] = None,
     ) -> "_BoostTree":
-        """Fit to gradients; ``sorted_idx`` is the optional (n_features,
-        n) per-feature stable argsort of ``X``, shared across trees by
-        the booster so it is computed once per boosting fit."""
+        """Fit to gradients; ``presorted`` is ``X``'s shared sort, which
+        the booster computes once per round (or per fit) for all the
+        trees fitted on the same rows.  Without it every node sorts its
+        own rows (the ``presort=False`` oracle)."""
         self.n_features = X.shape[1]
         self.gain_by_feature = np.zeros(self.n_features)
         self.splits_by_feature = np.zeros(self.n_features, dtype=np.int64)
-        n = X.shape[0]
-        if sorted_idx is None and self.presort:
-            sorted_idx = np.ascontiguousarray(np.argsort(X, axis=0, kind="stable").T)
-        if sorted_idx is not None:
-            self._left_buf = np.empty(n, dtype=bool)
-            self._XT = np.ascontiguousarray(X.T)
-        else:
-            self._left_buf = None
-            self._XT = None
-        self.root = self._build(X, g, h, np.arange(n), sorted_idx, depth=0)
-        self._left_buf = None
-        self._XT = None
+        self._sorted = presorted
+        order = None if presorted is None else presorted.order
+        self.root = self._build(X, g, h, np.arange(X.shape[0]), order, depth=0)
+        self._sorted = None
         return self
 
     def _leaf_weight(self, G: float, H: float) -> float:
@@ -119,30 +133,35 @@ class _BoostTree:
             return node
 
         lam = self.reg_lambda
+        mcw = self.min_child_weight
         parent_score = G * G / (H + lam)
         best_gain, best_feat, best_thr = 0.0, -1, 0.0
         if sorted_idx is not None:
             # Presorted path: score every feature in one vectorised sweep.
-            # Each row of the (F, n) arrays is the node's samples in that
+            # Each row of the (F, m) arrays is the node's samples in that
             # feature's sorted order, so one axis-1 cumsum replaces the
             # per-feature Python loop (row-wise cumsum accumulates in the
-            # same sequence as the 1-D version, and the in-place updates
-            # below apply the exact operation sequence of the loop, so
-            # results stay bitwise identical to the historical per-node
-            # sorting code).
-            xo = np.take_along_axis(self._XT, sorted_idx, axis=1)
-            go = np.take(g, sorted_idx)
-            ho = np.take(h, sorted_idx)
-            GL = np.cumsum(go, axis=1)[:, :-1]
-            HL = np.cumsum(ho, axis=1)[:, :-1]
+            # same sequence as the 1-D version).  Cell (f, i) splits
+            # after position i; the gain is computed only on the valid
+            # cells, with the exact operation sequence of the loop below,
+            # so results stay bitwise identical to the historical
+            # per-node sorting code.
+            m = idx.size
+            xo = self._sorted.flat.take(sorted_idx + self._sorted.offsets)
+            GL = g.take(sorted_idx).cumsum(axis=1)
+            HL = h.take(sorted_idx).cumsum(axis=1)
             valid = xo[:, 1:] != xo[:, :-1]
-            valid &= HL >= self.min_child_weight
-            HR = H - HL
-            valid &= HR >= self.min_child_weight
-            if not valid.any():
+            valid &= HL[:, :-1] >= mcw
+            valid &= H - HL[:, :-1] >= mcw
+            cells = np.flatnonzero(valid)
+            if cells.size == 0:
                 return node
+            cells += cells // (m - 1)     # (F, m-1) cell -> (F, m) position
+            GL = GL.ravel().take(cells)
+            HL = HL.ravel().take(cells)
             gain = G - GL            # becomes GR, then the full gain in place
             gain *= gain             # GR²
+            HR = H - HL
             HR += lam
             gain /= HR               # GR²/(HR+λ)
             GL *= GL                 # GL²
@@ -152,16 +171,14 @@ class _BoostTree:
             gain -= parent_score
             gain *= 0.5
             gain -= self.gamma
-            np.logical_not(valid, out=valid)
-            np.copyto(gain, -np.inf, where=valid)
-            # C-order argmax ties break on (first feature, first position),
-            # exactly like the sequential strictly-greater loop below.
-            flat = int(np.argmax(gain))
-            f, i = divmod(flat, idx.size - 1)
-            if gain[f, i] > best_gain:
-                best_gain = float(gain[f, i])
-                best_feat = f
-                best_thr = 0.5 * float(xo[f, i] + xo[f, i + 1])
+            # The cells are in C order, so argmax ties break on (first
+            # feature, first position), exactly like the sequential
+            # strictly-greater loop below.
+            j = int(np.argmax(gain))
+            if gain[j] > best_gain:
+                best_gain = float(gain[j])
+                best_feat, i = divmod(int(cells[j]), m)
+                best_thr = 0.5 * float(xo[best_feat, i] + xo[best_feat, i + 1])
         else:
             for f in range(self.n_features):
                 xs = X[idx, f]
@@ -194,12 +211,14 @@ class _BoostTree:
             sl = sr = None
         else:
             # Stable partition of the per-feature sorted index lists via
-            # a shared boolean scratch (same trick as repro.ml.tree).
-            buf = self._left_buf
+            # a shared boolean scratch (same trick as repro.ml.tree);
+            # ``compress`` on the flat lists skips 2-D mask indexing.
+            buf = self._sorted.left
             buf[idx] = left
-            take = buf[sorted_idx]
-            sl = sorted_idx[take].reshape(self.n_features, idx_l.size)
-            sr = sorted_idx[~take].reshape(self.n_features, idx_r.size)
+            take = buf.take(sorted_idx).ravel()
+            flat = sorted_idx.ravel()
+            sl = flat.compress(take).reshape(self.n_features, idx_l.size)
+            sr = flat.compress(~take).reshape(self.n_features, idx_r.size)
         node.left = self._build(X, g, h, idx_l, sl, depth + 1)
         node.right = self._build(X, g, h, idx_r, sr, depth + 1)
         return node
@@ -231,6 +250,9 @@ class _BoostTree:
 class _BaseBooster(BaseEstimator):
     """Shared boosting loop; subclasses supply gradients."""
 
+    #: Whether ``trees_`` holds one list of per-class trees per round.
+    _per_class = False
+
     def __init__(
         self,
         n_estimators: int = 100,
@@ -261,37 +283,12 @@ class _BaseBooster(BaseEstimator):
         if not 0.0 < self.subsample <= 1.0:
             raise ValueError("subsample must be in (0, 1]")
 
-    def _new_tree(self) -> _BoostTree:
-        return _BoostTree(self.max_depth, self.reg_lambda, self.gamma,
-                          self.min_child_weight, presort=self.presort)
-
-    def _root_sort(self, X: np.ndarray) -> Optional[np.ndarray]:
-        """The fit-wide presort, when every tree sees all of ``X``.
-
-        X never changes across boosting rounds (or per-class trees), so
-        without row subsampling one stable argsort per feature serves
-        every tree of the whole fit.
-        """
-        if self.presort and self.subsample >= 1.0:
-            return np.ascontiguousarray(np.argsort(X, axis=0, kind="stable").T)
-        return None
-
-    def _accumulate_importance(self, tree: _BoostTree) -> None:
-        self._gain_acc += tree.gain_by_feature
-        self._fscore_acc += tree.splits_by_feature
-
-    def _finalise_importance(self) -> None:
-        total = self._gain_acc.sum()
-        self.feature_importances_ = (
-            self._gain_acc / total if total > 0 else self._gain_acc
-        )
-        self.f_scores_ = self._fscore_acc.copy()
-
-    def _subsample_idx(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        if self.subsample >= 1.0:
-            return np.arange(n)
-        k = max(1, int(round(self.subsample * n)))
-        return rng.choice(n, size=k, replace=False)
+    def _cold_setup(self, X: np.ndarray) -> np.random.Generator:
+        """Empty ensemble and importance accumulators for ``fit``."""
+        self.trees_: list = []
+        self._gain_acc = np.zeros(X.shape[1])
+        self._fscore_acc = np.zeros(X.shape[1], dtype=np.int64)
+        return np.random.default_rng(self.seed)
 
     def _warm_setup(self, X: np.ndarray, n_rounds) -> tuple:
         """Shared warm-start plumbing: round count, derived RNG,
@@ -307,58 +304,90 @@ class _BaseBooster(BaseEstimator):
             self._fscore_acc = np.zeros(X.shape[1], dtype=np.int64)
         return rounds, rng
 
-    def _flat_trees(self) -> List[_BoostTree]:
-        """Member trees in accumulation order; overridden by the
-        classifier whose ensemble is nested per round."""
-        return self.trees_
+    def _subsample_idx(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        if self.subsample >= 1.0:
+            return np.arange(n)
+        k = max(1, int(round(self.subsample * n)))
+        return rng.choice(n, size=k, replace=False)
 
-    def _compile(self) -> None:
-        """Fuse the whole ensemble into one flat-array table.
+    def _boost(self, X: np.ndarray, margins: np.ndarray, stats, rounds: int,
+               rng: np.random.Generator, track: bool = False) -> None:
+        """Run ``rounds`` boosting rounds: the one loop of both boosters'
+        ``fit`` and ``warm_fit``.
 
-        Called at the end of ``fit``/``warm_fit`` — the boosting loop
-        itself keeps using the per-tree node walk (each tree predicts
-        right after being built, before the ensemble is final).
+        ``stats(margins, idx)`` gives the round's ``(K, m)`` gradient
+        and hessian rows on the sampled rows ``idx``.  Tree ``k`` of the
+        round fits row ``k`` and adds its shrunk predictions to
+        ``margins[:, k]`` in place.  The K trees of a round see the same
+        rows, so they share one sort of them; without row subsampling
+        one sort serves every round.
         """
-        self.compiled_ = _compiled.compile_boost(self._flat_trees())
-
-
-
-class GradientBoostingRegressor(_BaseBooster):
-    """Squared-error gradient boosting (g = residual, h = 1)."""
-
-    def fit(self, X: np.ndarray, y: np.ndarray) -> "GradientBoostingRegressor":
-        self._check_hyper()
-        X, y = check_X_y(X, y)
-        y = y.astype(np.float64)
-        rng = np.random.default_rng(self.seed)
-        self.base_score_ = float(y.mean())
-        self.trees_: List[_BoostTree] = []
-        self._gain_acc = np.zeros(X.shape[1])
-        self._fscore_acc = np.zeros(X.shape[1], dtype=np.int64)
-        pred = np.full(y.shape, self.base_score_)
-        root_sorted = self._root_sort(X)
-        track = obs.enabled()
+        n = X.shape[0]
+        whole = self.subsample >= 1.0
+        fit_sort = _Presorted(X) if self.presort and whole else None
         fit_start = time.perf_counter() if track else 0.0
-        for _ in range(self.n_estimators):
+        for _ in range(rounds):
             round_start = time.perf_counter() if track else 0.0
-            idx = self._subsample_idx(y.size, rng)
-            g = pred[idx] - y[idx]
-            h = np.ones_like(g)
-            if root_sorted is not None:
-                tree = self._new_tree().fit(X, g, h, sorted_idx=root_sorted)
+            idx = self._subsample_idx(n, rng)
+            if whole:
+                Xs, sort = X, fit_sort
             else:
-                tree = self._new_tree().fit(X[idx], g, h)
-            self.trees_.append(tree)
-            self._accumulate_importance(tree)
-            pred += self.learning_rate * tree.predict(X)
+                Xs = X[idx]
+                sort = _Presorted(Xs) if self.presort else None
+            g, h = stats(margins, idx)
+            trees = []
+            for k in range(g.shape[0]):
+                tree = _BoostTree(self.max_depth, self.reg_lambda, self.gamma,
+                                  self.min_child_weight, presort=self.presort)
+                tree.fit(Xs, g[k], h[k], sort)
+                trees.append(tree)
+                self._gain_acc += tree.gain_by_feature
+                self._fscore_acc += tree.splits_by_feature
+                margins[:, k] += self.learning_rate * tree.predict(X)
+            self.trees_.append(trees if self._per_class else trees[0])
             if track:
                 obs.incr("ml.boosting.rounds")
                 obs.observe("ml.boosting.round_seconds",
                             time.perf_counter() - round_start)
         if track:
             obs.record_span("ml.boosting.fit", time.perf_counter() - fit_start)
-        self._finalise_importance()
-        self._compile()
+        total = self._gain_acc.sum()
+        self.feature_importances_ = (
+            self._gain_acc / total if total > 0 else self._gain_acc
+        )
+        self.f_scores_ = self._fscore_acc.copy()
+        # The loop above predicts with each tree's node walk (a tree
+        # predicts right after it is built); serving reads one flat
+        # table fusing the whole ensemble.
+        self.compiled_ = _compiled.compile_boost(self._flat_trees())
+
+    def _flat_trees(self) -> List[_BoostTree]:
+        """Member trees in accumulation order: (round, class) for the
+        classifier, the order ``decision_function`` adds margins in."""
+        if self._per_class:
+            return [tree for round_trees in self.trees_ for tree in round_trees]
+        return self.trees_
+
+
+class GradientBoostingRegressor(_BaseBooster):
+    """Squared-error gradient boosting (g = residual, h = 1)."""
+
+    @staticmethod
+    def _residuals(y: np.ndarray):
+        def stats(pred: np.ndarray, idx: np.ndarray):
+            g = pred[idx, 0] - y[idx]
+            return g[None], np.ones((1, g.size))
+        return stats
+
+    def fit(self, X: np.ndarray, y: np.ndarray) -> "GradientBoostingRegressor":
+        self._check_hyper()
+        X, y = check_X_y(X, y)
+        y = y.astype(np.float64)
+        rng = self._cold_setup(X)
+        self.base_score_ = float(y.mean())
+        pred = np.full((y.size, 1), self.base_score_)
+        self._boost(X, pred, self._residuals(y), self.n_estimators, rng,
+                    track=obs.enabled())
         return self
 
     def warm_fit(
@@ -376,21 +405,7 @@ class GradientBoostingRegressor(_BaseBooster):
         X, y = check_X_y(X, y)
         y = y.astype(np.float64)
         rounds, rng = self._warm_setup(X, n_rounds)
-        pred = self.predict(X)
-        root_sorted = self._root_sort(X)
-        for _ in range(rounds):
-            idx = self._subsample_idx(y.size, rng)
-            g = pred[idx] - y[idx]
-            h = np.ones_like(g)
-            if root_sorted is not None:
-                tree = self._new_tree().fit(X, g, h, sorted_idx=root_sorted)
-            else:
-                tree = self._new_tree().fit(X[idx], g, h)
-            self.trees_.append(tree)
-            self._accumulate_importance(tree)
-            pred += self.learning_rate * tree.predict(X)
-        self._finalise_importance()
-        self._compile()
+        self._boost(X, self.predict(X)[:, None], self._residuals(y), rounds, rng)
         return self
 
     def predict(self, X: np.ndarray) -> np.ndarray:
@@ -414,52 +429,33 @@ class GradientBoostingRegressor(_BaseBooster):
 class GradientBoostingClassifier(_BaseBooster):
     """Softmax multiclass gradient boosting (one tree per class/round)."""
 
+    _per_class = True
+
+    def _softmax_stats(self, y: np.ndarray):
+        onehot = np.zeros((self.n_classes_, y.size))
+        onehot[y, np.arange(y.size)] = 1.0
+
+        def stats(margins: np.ndarray, idx: np.ndarray):
+            # Softmax of the sampled rows' margins, one row per class.
+            p = margins[idx]
+            p -= p.max(axis=1, keepdims=True)
+            np.exp(p, out=p)
+            p /= p.sum(axis=1, keepdims=True)
+            p = np.ascontiguousarray(p.T)
+            return p - onehot[:, idx], np.maximum(p * (1.0 - p), 1e-6)
+        return stats
+
     def fit(self, X: np.ndarray, y: np.ndarray) -> "GradientBoostingClassifier":
         self._check_hyper()
         X, y = check_X_y(X, y)
         y = y.astype(np.int64)
         if y.min() < 0:
             raise ValueError("class labels must be non-negative integers")
+        rng = self._cold_setup(X)
         self.n_classes_ = int(y.max()) + 1
-        K = self.n_classes_
-        n = y.size
-        rng = np.random.default_rng(self.seed)
-        onehot = np.zeros((n, K))
-        onehot[np.arange(n), y] = 1.0
-        margins = np.zeros((n, K))
-        self.trees_: List[List[_BoostTree]] = []
-        self._gain_acc = np.zeros(X.shape[1])
-        self._fscore_acc = np.zeros(X.shape[1], dtype=np.int64)
-        root_sorted = self._root_sort(X)
-        track = obs.enabled()
-        fit_start = time.perf_counter() if track else 0.0
-        for _ in range(self.n_estimators):
-            round_start = time.perf_counter() if track else 0.0
-            # Softmax probabilities of the current margins.
-            m = margins - margins.max(axis=1, keepdims=True)
-            e = np.exp(m)
-            p = e / e.sum(axis=1, keepdims=True)
-            idx = self._subsample_idx(n, rng)
-            round_trees: List[_BoostTree] = []
-            for k in range(K):
-                g = (p[idx, k] - onehot[idx, k])
-                h = np.maximum(p[idx, k] * (1.0 - p[idx, k]), 1e-6)
-                if root_sorted is not None:
-                    tree = self._new_tree().fit(X, g, h, sorted_idx=root_sorted)
-                else:
-                    tree = self._new_tree().fit(X[idx], g, h)
-                round_trees.append(tree)
-                self._accumulate_importance(tree)
-                margins[:, k] += self.learning_rate * tree.predict(X)
-            self.trees_.append(round_trees)
-            if track:
-                obs.incr("ml.boosting.rounds")
-                obs.observe("ml.boosting.round_seconds",
-                            time.perf_counter() - round_start)
-        if track:
-            obs.record_span("ml.boosting.fit", time.perf_counter() - fit_start)
-        self._finalise_importance()
-        self._compile()
+        margins = np.zeros((y.size, self.n_classes_))
+        self._boost(X, margins, self._softmax_stats(y), self.n_estimators, rng,
+                    track=obs.enabled())
         return self
 
     def warm_fit(
@@ -481,37 +477,9 @@ class GradientBoostingClassifier(_BaseBooster):
                 f"{self.n_classes_} classes; got range [{y.min()}, {y.max()}]"
             )
         rounds, rng = self._warm_setup(X, n_rounds)
-        K = self.n_classes_
-        n = y.size
-        onehot = np.zeros((n, K))
-        onehot[np.arange(n), y] = 1.0
-        margins = self.decision_function(X)
-        root_sorted = self._root_sort(X)
-        for _ in range(rounds):
-            m = margins - margins.max(axis=1, keepdims=True)
-            e = np.exp(m)
-            p = e / e.sum(axis=1, keepdims=True)
-            idx = self._subsample_idx(n, rng)
-            round_trees: List[_BoostTree] = []
-            for k in range(K):
-                g = p[idx, k] - onehot[idx, k]
-                h = np.maximum(p[idx, k] * (1.0 - p[idx, k]), 1e-6)
-                if root_sorted is not None:
-                    tree = self._new_tree().fit(X, g, h, sorted_idx=root_sorted)
-                else:
-                    tree = self._new_tree().fit(X[idx], g, h)
-                round_trees.append(tree)
-                self._accumulate_importance(tree)
-                margins[:, k] += self.learning_rate * tree.predict(X)
-            self.trees_.append(round_trees)
-        self._finalise_importance()
-        self._compile()
+        self._boost(X, self.decision_function(X), self._softmax_stats(y),
+                    rounds, rng)
         return self
-
-    def _flat_trees(self) -> List[_BoostTree]:
-        # Flatten the nested per-round lists in (round, class) order —
-        # the same order decision_function accumulates margins in.
-        return [tree for round_trees in self.trees_ for tree in round_trees]
 
     def decision_function(self, X: np.ndarray) -> np.ndarray:
         """Raw per-class margins (pre-softmax)."""
@@ -520,14 +488,15 @@ class GradientBoostingClassifier(_BaseBooster):
         margins = np.zeros((X.shape[0], self.n_classes_))
         table = getattr(self, "compiled_", None)
         if table is not None and _compiled.compiled_enabled():
-            # Fused table rows are the (round, class)-ordered trees.
-            # Accumulating round-by-round keeps every margin element's
-            # addition sequence identical to the nested node-walk loop
-            # (classes are independent columns), in K× fewer numpy ops.
-            K = self.n_classes_
-            w = table.leaf_scalars(X).reshape(-1, K, X.shape[0])
-            for r in range(w.shape[0]):
-                margins += self.learning_rate * w[r].T
+            # Fused table rows are the (round, class)-ordered trees.  A
+            # cumulative sum over the rounds adds each margin element's
+            # terms in the nested node-walk loop's order (classes are
+            # independent columns); adding the total to zeros repeats
+            # the loop's 0.0 start, which turns an all -0.0 sum to +0.0.
+            w = table.leaf_scalars(X).reshape(-1, self.n_classes_, X.shape[0])
+            w *= self.learning_rate
+            np.cumsum(w, axis=0, out=w)
+            margins += w[-1].T
         else:
             for round_trees in self.trees_:
                 for k, tree in enumerate(round_trees):

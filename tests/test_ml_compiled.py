@@ -149,7 +149,7 @@ class TestEstimators:
         assert np.array_equal(batch, rows)
 
     def test_subsampled_boost(self, clf_data):
-        # subsample < 1 exercises the per-tree (non-root-sorted) fit path.
+        # subsample < 1 exercises the per-round sort (no fit-wide presort).
         X, y = clf_data
         est = GradientBoostingClassifier(
             n_estimators=6, max_depth=4, subsample=0.7

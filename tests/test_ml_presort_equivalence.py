@@ -52,26 +52,112 @@ def test_tree_regressor_identical(data, min_samples_leaf):
     assert np.array_equal(a.feature_importances_, b.feature_importances_)
 
 
-@pytest.mark.parametrize("subsample", [1.0, 0.6])
-def test_boosting_classifier_identical(data, subsample):
-    X, y, _ = data
-    kw = dict(n_estimators=10, max_depth=4, subsample=subsample, seed=3)
-    a = GradientBoostingClassifier(presort=True, **kw).fit(X, y)
-    b = GradientBoostingClassifier(presort=False, **kw).fit(X, y)
-    assert np.array_equal(a.decision_function(X), b.decision_function(X))
+def assert_same_booster(a, b, X):
+    """Two boosters fitted alike agree bit for bit: predictions,
+    importances, every tree's gain and split counts, and the fused
+    inference table."""
+    if hasattr(a, "decision_function"):
+        assert np.array_equal(a.decision_function(X), b.decision_function(X))
     assert np.array_equal(a.predict(X), b.predict(X))
     assert np.array_equal(a.f_scores_, b.f_scores_)
     assert np.array_equal(a.feature_importances_, b.feature_importances_)
+    ta, tb = a._flat_trees(), b._flat_trees()
+    assert len(ta) == len(tb)
+    for s, t in zip(ta, tb):
+        assert np.array_equal(s.gain_by_feature, t.gain_by_feature)
+        assert np.array_equal(s.splits_by_feature, t.splits_by_feature)
+    for name in ("feature", "threshold", "left", "right", "values"):
+        assert np.array_equal(getattr(a.compiled_, name),
+                              getattr(b.compiled_, name)), name
 
 
-@pytest.mark.parametrize("subsample", [1.0, 0.6])
+def fit_pair(cls, X, y, **kw):
+    return (cls(presort=True, **kw).fit(X, y),
+            cls(presort=False, **kw).fit(X, y))
+
+
+@pytest.mark.parametrize("subsample", [1.0, 0.9, 0.6])
+def test_boosting_classifier_identical(data, subsample):
+    X, y, _ = data
+    kw = dict(n_estimators=10, max_depth=4, subsample=subsample, seed=3)
+    assert_same_booster(*fit_pair(GradientBoostingClassifier, X, y, **kw), X)
+
+
+@pytest.mark.parametrize("subsample", [1.0, 0.9, 0.6])
 def test_boosting_regressor_identical(data, subsample):
     X, _, y = data
     kw = dict(n_estimators=10, max_depth=4, subsample=subsample, seed=3)
-    a = GradientBoostingRegressor(presort=True, **kw).fit(X, y)
-    b = GradientBoostingRegressor(presort=False, **kw).fit(X, y)
-    assert np.array_equal(a.predict(X), b.predict(X))
-    assert np.array_equal(a.feature_importances_, b.feature_importances_)
+    assert_same_booster(*fit_pair(GradientBoostingRegressor, X, y, **kw), X)
+
+
+@pytest.mark.parametrize("subsample", [1.0, 0.9])
+@pytest.mark.parametrize("cls", [GradientBoostingClassifier,
+                                 GradientBoostingRegressor])
+def test_boosting_warm_fit_identical(data, cls, subsample):
+    X, y_clf, y_reg = data
+    y = y_clf if cls is GradientBoostingClassifier else y_reg
+    kw = dict(n_estimators=6, max_depth=4, subsample=subsample, seed=5)
+    a, b = fit_pair(cls, X[:150], y[:150], **kw)
+    a.warm_fit(X[100:], y[100:], n_rounds=4)
+    b.warm_fit(X[100:], y[100:], n_rounds=4)
+    assert_same_booster(a, b, X)
+
+
+def test_boosting_constant_feature_identical(data):
+    X, y, _ = data
+    X = X.copy()
+    X[:, 2] = 1.5        # never splittable: no valid cell in that row
+    kw = dict(n_estimators=8, max_depth=4, subsample=0.9, seed=1)
+    a, b = fit_pair(GradientBoostingClassifier, X, y, **kw)
+    assert_same_booster(a, b, X)
+    assert a.f_scores_[2] == 0
+
+
+def _searched_without_valid_cell(model, X, mcw):
+    """Leaves of a squared-error booster (h = 1, so a node's hessian sum
+    is its row count) that were searched for a split but had no valid
+    cell: no feature has a boundary between distinct values with at
+    least ``mcw`` rows on each side."""
+    count = 0
+    for tree in model.trees_:
+        stack = [(tree.root, np.arange(X.shape[0]), 0)]
+        while stack:
+            node, rows, depth = stack.pop()
+            if not node.is_leaf:
+                left = X[rows, node.feature] <= node.threshold
+                stack.append((node.left, rows[left], depth + 1))
+                stack.append((node.right, rows[~left], depth + 1))
+                continue
+            if depth >= model.max_depth or rows.size < 2 * mcw:
+                continue
+            cols = np.sort(X[rows], axis=0)
+            pos = np.arange(1, rows.size)
+            ok = (cols[1:] != cols[:-1]) & (pos >= mcw)[:, None] \
+                & (rows.size - pos >= mcw)[:, None]
+            count += not ok.any()
+    return count
+
+
+def test_boosting_nodes_without_valid_cell_identical(data):
+    X, y_clf, y_reg = data
+    X = np.round(X * 0.7)    # a few values per feature: ties off-centre
+    mcw = 30.0
+    kw = dict(n_estimators=8, max_depth=5, min_child_weight=mcw, seed=2)
+    a, b = fit_pair(GradientBoostingRegressor, X, y_reg, **kw)
+    assert _searched_without_valid_cell(a, X, mcw) > 0
+    assert_same_booster(a, b, X)
+    kw["min_child_weight"] = 8.0   # softmax hessians are at most 1/4
+    assert_same_booster(
+        *fit_pair(GradientBoostingClassifier, X, y_clf, **kw), X)
+
+
+def test_boosting_many_classes_identical(data):
+    X, _, _ = data
+    y = np.random.default_rng(9).integers(0, 13, size=X.shape[0])
+    kw = dict(n_estimators=6, max_depth=4, subsample=0.9, seed=4)
+    a, b = fit_pair(GradientBoostingClassifier, X, y, **kw)
+    assert a.n_classes_ == 13
+    assert_same_booster(a, b, X)
 
 
 def test_presort_is_a_params_knob(data):

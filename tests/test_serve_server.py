@@ -8,6 +8,7 @@ telemetry stays exact while the server survives.
 
 import json
 import socket
+import sys
 import threading
 import time
 
@@ -462,3 +463,101 @@ class TestConcurrentServing:
             server.start()
         server.shutdown()
         server.shutdown()        # idempotent
+
+
+class TestDrainUnderFeedback:
+    """Graceful drain raced against clients streaming predict + feedback
+    pairs: every line the server read is answered, the feedback count
+    matches the ok feedback responses exactly, and nothing raises."""
+
+    N_CLIENTS = 6
+
+    def _client(self, address, c, rows, times, tally, lock):
+        sock, fh = _connect(address)
+        answers = {"predict": 0, "feedback_ok": 0}
+        try:
+            with sock:
+                for j in range(10_000):
+                    rid = f"c{c}-{j}"
+                    # Pipelined pair: the drain can fall between them.
+                    lines = [
+                        {"op": "predict", "id": rid,
+                         "vector": rows[(c + j) % len(rows)].tolist()},
+                        {"op": "feedback", "id": rid, "times": times},
+                    ]
+                    fh.write("".join(json.dumps(r) + "\n" for r in lines))
+                    fh.flush()
+                    for request in lines:
+                        raw = fh.readline()
+                        if not raw:
+                            return            # server closed: drained
+                        response = json.loads(raw)
+                        if request["op"] == "predict":
+                            assert response["ok"] is True, response
+                            assert response["id"] == rid
+                            answers["predict"] += 1
+                        elif response["ok"]:
+                            assert response["id"] == rid
+                            answers["feedback_ok"] += 1
+        except (ConnectionError, BrokenPipeError):
+            pass                              # closed mid-write: not admitted
+        finally:
+            with lock:
+                for key, value in answers.items():
+                    tally[key] += value
+
+    @pytest.mark.parametrize("round_", range(4))
+    def test_drain_answers_every_admitted_line(self, selector, train, round_,
+                                               monkeypatch):
+        raised = []
+        monkeypatch.setattr(threading, "excepthook", raised.append)
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)     # interleave the threads finely
+        try:
+            self._hammer(selector, train, round_, raised)
+        finally:
+            sys.setswitchinterval(switch)
+
+    def _hammer(self, selector, train, round_, raised):
+        service = SelectionService(selector)
+        server = SelectionServer(
+            service, port=0, max_batch=8, batch_window_s=0.001
+        ).start()
+        times = {fmt: 1.0 + i for i, fmt in enumerate(service.formats)}
+        tally = {"predict": 0, "feedback_ok": 0}
+        lock = threading.Lock()
+        clients = [
+            threading.Thread(
+                target=self._client,
+                args=(server.address, c, train.feature_array, times, tally,
+                      lock),
+                daemon=True,
+            )
+            for c in range(self.N_CLIENTS)
+        ]
+        try:
+            for t in clients:
+                t.start()
+            # Drain at a different point of the stream each round.
+            target = 20 * (round_ + 1)
+            deadline = time.monotonic() + 30
+            while service.telemetry.snapshot()["feedback"]["count"] < target:
+                assert time.monotonic() < deadline, "clients never got going"
+                time.sleep(0.002)
+            server.shutdown(drain=True)
+            for t in clients:
+                t.join(timeout=30)
+                assert not t.is_alive()
+        finally:
+            server.shutdown()
+
+        snap = service.telemetry.snapshot()
+        assert snap["requests"] == tally["predict"]
+        assert snap["feedback"]["count"] == tally["feedback_ok"]
+        assert snap["feedback"]["count"] >= target
+        assert snap["connections"]["active"] == 0
+        # After close: the service still answers, shutdown is idempotent,
+        # and no server or client thread raised.
+        assert service.stats()["feedback"]["count"] == tally["feedback_ok"]
+        server.shutdown()
+        assert raised == []
