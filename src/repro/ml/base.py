@@ -119,6 +119,14 @@ class BaseEstimator:
                     "call fit() first"
                 )
 
+    def _check_X_width(self, X: np.ndarray, n_features: int) -> np.ndarray:
+        """:func:`check_X`, plus the feature count the model was fit with."""
+        X = check_X(X)
+        if X.shape[1] != n_features:
+            raise ValueError(f"X has {X.shape[1]} features, {type(self).__name__}"
+                             f" was fit with {n_features}")
+        return X
+
     # -- persistence (the stable estimator surface) ------------------------
 
     def save(self, path) -> None:

@@ -23,9 +23,10 @@ node scores every feature in one vectorised sweep, and computes the gain
 only on its *valid* cells: positions between two distinct feature
 values whose children both meet ``min_child_weight`` (about a third of
 the cells on the benchmark corpora).  Splits and predictions are
-bit-identical to the historical per-node sorting implementation
-(``presort=False`` keeps it selectable as the oracle of
-``tests/test_ml_presort_equivalence.py``).
+bit-identical to the historical per-node sorting implementation, which
+``tests/_ml_oracle.py`` keeps as the oracle of
+``tests/test_ml_presort_equivalence.py``.  Predictions read the fitted
+ensemble's compiled table (:mod:`repro.ml.compiled`).
 
 Feature importance is reported both ways XGBoost does:
 
@@ -45,7 +46,7 @@ import numpy as np
 from .. import obs
 
 from . import compiled as _compiled
-from .base import BaseEstimator, check_X, check_X_y
+from .base import BaseEstimator, check_X_y
 
 __all__ = ["GradientBoostingClassifier", "GradientBoostingRegressor"]
 
@@ -85,32 +86,25 @@ class _BoostTree:
     """One regression tree on (gradient, hessian) statistics."""
 
     def __init__(self, max_depth: int, reg_lambda: float, gamma: float,
-                 min_child_weight: float, presort: bool = True) -> None:
+                 min_child_weight: float) -> None:
         self.max_depth = max_depth
         self.reg_lambda = reg_lambda
         self.gamma = gamma
         self.min_child_weight = min_child_weight
-        self.presort = presort
         self.gain_by_feature: Optional[np.ndarray] = None
         self.splits_by_feature: Optional[np.ndarray] = None
 
-    def fit(
-        self,
-        X: np.ndarray,
-        g: np.ndarray,
-        h: np.ndarray,
-        presorted: Optional[_Presorted] = None,
-    ) -> "_BoostTree":
+    def fit(self, X: np.ndarray, g: np.ndarray, h: np.ndarray,
+            presorted: _Presorted) -> "_BoostTree":
         """Fit to gradients; ``presorted`` is ``X``'s shared sort, which
         the booster computes once per round (or per fit) for all the
-        trees fitted on the same rows.  Without it every node sorts its
-        own rows (the ``presort=False`` oracle)."""
+        trees fitted on the same rows."""
         self.n_features = X.shape[1]
         self.gain_by_feature = np.zeros(self.n_features)
         self.splits_by_feature = np.zeros(self.n_features, dtype=np.int64)
         self._sorted = presorted
-        order = None if presorted is None else presorted.order
-        self.root = self._build(X, g, h, np.arange(X.shape[0]), order, depth=0)
+        self.root = self._build(X, g, h, np.arange(X.shape[0]),
+                                presorted.order, depth=0)
         self._sorted = None
         return self
 
@@ -123,11 +117,10 @@ class _BoostTree:
         g: np.ndarray,
         h: np.ndarray,
         idx: np.ndarray,
-        sorted_idx: Optional[np.ndarray],
+        sorted_idx: np.ndarray,
         depth: int,
     ) -> _BNode:
-        gs, hs = g[idx], h[idx]
-        G, H = float(gs.sum()), float(hs.sum())
+        G, H = float(g[idx].sum()), float(h[idx].sum())
         node = _BNode(weight=self._leaf_weight(G, H))
         if depth >= self.max_depth or idx.size < 2 or H < 2 * self.min_child_weight:
             return node
@@ -135,71 +128,48 @@ class _BoostTree:
         lam = self.reg_lambda
         mcw = self.min_child_weight
         parent_score = G * G / (H + lam)
-        best_gain, best_feat, best_thr = 0.0, -1, 0.0
-        if sorted_idx is not None:
-            # Presorted path: score every feature in one vectorised sweep.
-            # Each row of the (F, m) arrays is the node's samples in that
-            # feature's sorted order, so one axis-1 cumsum replaces the
-            # per-feature Python loop (row-wise cumsum accumulates in the
-            # same sequence as the 1-D version).  Cell (f, i) splits
-            # after position i; the gain is computed only on the valid
-            # cells, with the exact operation sequence of the loop below,
-            # so results stay bitwise identical to the historical
-            # per-node sorting code.
-            m = idx.size
-            xo = self._sorted.flat.take(sorted_idx + self._sorted.offsets)
-            GL = g.take(sorted_idx).cumsum(axis=1)
-            HL = h.take(sorted_idx).cumsum(axis=1)
-            valid = xo[:, 1:] != xo[:, :-1]
-            valid &= HL[:, :-1] >= mcw
-            valid &= H - HL[:, :-1] >= mcw
-            cells = np.flatnonzero(valid)
-            if cells.size == 0:
-                return node
-            cells += cells // (m - 1)     # (F, m-1) cell -> (F, m) position
-            GL = GL.ravel().take(cells)
-            HL = HL.ravel().take(cells)
-            gain = G - GL            # becomes GR, then the full gain in place
-            gain *= gain             # GR²
-            HR = H - HL
-            HR += lam
-            gain /= HR               # GR²/(HR+λ)
-            GL *= GL                 # GL²
-            HL += lam
-            GL /= HL                 # GL²/(HL+λ)
-            gain += GL
-            gain -= parent_score
-            gain *= 0.5
-            gain -= self.gamma
-            # The cells are in C order, so argmax ties break on (first
-            # feature, first position), exactly like the sequential
-            # strictly-greater loop below.
-            j = int(np.argmax(gain))
-            if gain[j] > best_gain:
-                best_gain = float(gain[j])
-                best_feat, i = divmod(int(cells[j]), m)
-                best_thr = 0.5 * float(xo[best_feat, i] + xo[best_feat, i + 1])
-        else:
-            for f in range(self.n_features):
-                xs = X[idx, f]
-                order = np.argsort(xs, kind="stable")
-                xo, go, ho = xs[order], gs[order], hs[order]
-                GL = np.cumsum(go)[:-1]
-                HL = np.cumsum(ho)[:-1]
-                valid = xo[1:] != xo[:-1]
-                valid &= (HL >= self.min_child_weight) & (H - HL >= self.min_child_weight)
-                if not valid.any():
-                    continue
-                GR, HR = G - GL, H - HL
-                gain = 0.5 * (GL * GL / (HL + lam) + GR * GR / (HR + lam) - parent_score) - self.gamma
-                gain[~valid] = -np.inf
-                i = int(np.argmax(gain))
-                if gain[i] > best_gain:
-                    best_gain = float(gain[i])
-                    best_feat = f
-                    best_thr = 0.5 * float(xo[i] + xo[i + 1])
-        if best_feat < 0:
+        # Score every feature in one vectorised sweep.  Each row of the
+        # (F, m) arrays is the node's samples in that feature's sorted
+        # order, so one axis-1 cumsum replaces a per-feature Python loop
+        # (row-wise cumsum accumulates in the same sequence as the 1-D
+        # version).  Cell (f, i) splits after position i; the gain is
+        # computed only on the valid cells, with the exact operation
+        # sequence of the historical per-node sorting loop (the oracle
+        # in tests/_ml_oracle.py), so results stay bitwise identical.
+        m = idx.size
+        xo = self._sorted.flat.take(sorted_idx + self._sorted.offsets)
+        GL = g.take(sorted_idx).cumsum(axis=1)
+        HL = h.take(sorted_idx).cumsum(axis=1)
+        valid = xo[:, 1:] != xo[:, :-1]
+        valid &= HL[:, :-1] >= mcw
+        valid &= H - HL[:, :-1] >= mcw
+        cells = np.flatnonzero(valid)
+        if cells.size == 0:
             return node
+        cells += cells // (m - 1)     # (F, m-1) cell -> (F, m) position
+        GL = GL.ravel().take(cells)
+        HL = HL.ravel().take(cells)
+        gain = G - GL            # becomes GR, then the full gain in place
+        gain *= gain             # GR²
+        HR = H - HL
+        HR += lam
+        gain /= HR               # GR²/(HR+λ)
+        GL *= GL                 # GL²
+        HL += lam
+        GL /= HL                 # GL²/(HL+λ)
+        gain += GL
+        gain -= parent_score
+        gain *= 0.5
+        gain -= self.gamma
+        # The cells are in C order, so argmax ties break on (first
+        # feature, first position), exactly like the oracle's sequential
+        # strictly-greater loop.
+        j = int(np.argmax(gain))
+        if not gain[j] > 0.0:
+            return node
+        best_gain = float(gain[j])
+        best_feat, i = divmod(int(cells[j]), m)
+        best_thr = 0.5 * float(xo[best_feat, i] + xo[best_feat, i + 1])
 
         node.feature = best_feat
         node.threshold = best_thr
@@ -207,18 +177,15 @@ class _BoostTree:
         self.splits_by_feature[best_feat] += 1
         left = X[idx, best_feat] <= best_thr
         idx_l, idx_r = idx[left], idx[~left]
-        if sorted_idx is None:
-            sl = sr = None
-        else:
-            # Stable partition of the per-feature sorted index lists via
-            # a shared boolean scratch (same trick as repro.ml.tree);
-            # ``compress`` on the flat lists skips 2-D mask indexing.
-            buf = self._sorted.left
-            buf[idx] = left
-            take = buf.take(sorted_idx).ravel()
-            flat = sorted_idx.ravel()
-            sl = flat.compress(take).reshape(self.n_features, idx_l.size)
-            sr = flat.compress(~take).reshape(self.n_features, idx_r.size)
+        # Stable partition of the per-feature sorted index lists via a
+        # shared boolean scratch (same trick as repro.ml.tree);
+        # ``compress`` on the flat lists skips 2-D mask indexing.
+        buf = self._sorted.left
+        buf[idx] = left
+        take = buf.take(sorted_idx).ravel()
+        flat = sorted_idx.ravel()
+        sl = flat.compress(take).reshape(self.n_features, idx_l.size)
+        sr = flat.compress(~take).reshape(self.n_features, idx_r.size)
         node.left = self._build(X, g, h, idx_l, sl, depth + 1)
         node.right = self._build(X, g, h, idx_r, sr, depth + 1)
         return node
@@ -263,7 +230,6 @@ class _BaseBooster(BaseEstimator):
         min_child_weight: float = 1.0,
         subsample: float = 1.0,
         seed: int = 0,
-        presort: bool = True,
     ) -> None:
         self.n_estimators = n_estimators
         self.learning_rate = learning_rate
@@ -273,7 +239,6 @@ class _BaseBooster(BaseEstimator):
         self.min_child_weight = min_child_weight
         self.subsample = subsample
         self.seed = seed
-        self.presort = presort
 
     def _check_hyper(self) -> None:
         if self.n_estimators < 1:
@@ -324,7 +289,7 @@ class _BaseBooster(BaseEstimator):
         """
         n = X.shape[0]
         whole = self.subsample >= 1.0
-        fit_sort = _Presorted(X) if self.presort and whole else None
+        fit_sort = _Presorted(X) if whole else None
         fit_start = time.perf_counter() if track else 0.0
         for _ in range(rounds):
             round_start = time.perf_counter() if track else 0.0
@@ -333,12 +298,12 @@ class _BaseBooster(BaseEstimator):
                 Xs, sort = X, fit_sort
             else:
                 Xs = X[idx]
-                sort = _Presorted(Xs) if self.presort else None
+                sort = _Presorted(Xs)
             g, h = stats(margins, idx)
             trees = []
             for k in range(g.shape[0]):
                 tree = _BoostTree(self.max_depth, self.reg_lambda, self.gamma,
-                                  self.min_child_weight, presort=self.presort)
+                                  self.min_child_weight)
                 tree.fit(Xs, g[k], h[k], sort)
                 trees.append(tree)
                 self._gain_acc += tree.gain_by_feature
@@ -409,20 +374,15 @@ class GradientBoostingRegressor(_BaseBooster):
         return self
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        self._require_fitted("trees_")
-        X = check_X(X)
+        self._require_fitted("trees_", "compiled_")
+        X = self._check_X_width(X, self.feature_importances_.size)
         pred = np.full(X.shape[0], self.base_score_)
-        table = getattr(self, "compiled_", None)
-        if table is not None and _compiled.compiled_enabled():
-            # One fused traversal yields every tree's leaf weight; the
-            # shrinkage accumulation below applies the identical op
-            # sequence as the per-tree node loop, tree by tree.
-            w = table.leaf_scalars(X)
-            for t in range(w.shape[0]):
-                pred += self.learning_rate * w[t]
-        else:
-            for tree in self.trees_:
-                pred += self.learning_rate * tree.predict(X)
+        # One fused traversal yields every tree's leaf weight; the
+        # shrinkage accumulation below applies the identical op
+        # sequence as a per-tree node loop, tree by tree.
+        w = self.compiled_.leaf_scalars(X)
+        for t in range(w.shape[0]):
+            pred += self.learning_rate * w[t]
         return pred
 
 
@@ -483,24 +443,21 @@ class GradientBoostingClassifier(_BaseBooster):
 
     def decision_function(self, X: np.ndarray) -> np.ndarray:
         """Raw per-class margins (pre-softmax)."""
-        self._require_fitted("trees_")
-        X = check_X(X)
+        self._require_fitted("trees_", "compiled_")
+        X = self._check_X_width(X, self.feature_importances_.size)
         margins = np.zeros((X.shape[0], self.n_classes_))
-        table = getattr(self, "compiled_", None)
-        if table is not None and _compiled.compiled_enabled():
-            # Fused table rows are the (round, class)-ordered trees.  A
-            # cumulative sum over the rounds adds each margin element's
-            # terms in the nested node-walk loop's order (classes are
-            # independent columns); adding the total to zeros repeats
-            # the loop's 0.0 start, which turns an all -0.0 sum to +0.0.
-            w = table.leaf_scalars(X).reshape(-1, self.n_classes_, X.shape[0])
-            w *= self.learning_rate
-            np.cumsum(w, axis=0, out=w)
-            margins += w[-1].T
-        else:
-            for round_trees in self.trees_:
-                for k, tree in enumerate(round_trees):
-                    margins[:, k] += self.learning_rate * tree.predict(X)
+        # Fused table rows are the (round, class)-ordered trees.  A
+        # cumulative sum over the rounds adds each margin element's
+        # terms in a nested per-tree loop's order (classes are
+        # independent columns); adding the total to zeros repeats the
+        # loop's 0.0 start, which turns an all -0.0 sum to +0.0.  The
+        # round count is explicit, so zero rows reshape too.
+        table = self.compiled_
+        w = table.leaf_scalars(X).reshape(
+            table.n_trees // self.n_classes_, self.n_classes_, X.shape[0])
+        w *= self.learning_rate
+        np.cumsum(w, axis=0, out=w)
+        margins += w[-1].T
         return margins
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:

@@ -30,56 +30,23 @@ needed.
 walk's: the tables carry the same float64 thresholds and leaf payloads,
 the traversal applies the same ``<=`` comparisons, and the ensemble
 wrappers accumulate member outputs in the same order with the same
-operations.  The node-graph walk stays in the estimators as the
-reference implementation; :func:`node_path` forces it for the
-equivalence tests in ``tests/test_ml_compiled.py``, which use it as
-their oracle.
+operations.  The tables are the only inference path in the package;
+the node-graph walks they replaced live in ``tests/_ml_oracle.py`` as
+the oracle of the equivalence tests in ``tests/test_ml_compiled.py``.
 """
 
 from __future__ import annotations
 
 import threading
-from contextlib import contextmanager
-from typing import Callable, List, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-__all__ = ["TreeTable", "compile_trees", "node_path", "compiled_enabled"]
+__all__ = ["TreeTable", "compile_trees"]
 
 
 # ---------------------------------------------------------------------------
-# Reference-path override
-# ---------------------------------------------------------------------------
-
-#: When True every tree-based estimator routes predict through the
-#: node-graph reference walk even if a compiled table is attached.
-_FORCE_NODE_PATH = False
-
-
-@contextmanager
-def node_path():
-    """Force the node-graph reference path inside the block.
-
-    Used as the oracle of the compiled-vs-node equivalence tests
-    (``tests/test_ml_compiled.py``).  Not meant for concurrent use —
-    the flag is process-wide.
-    """
-    global _FORCE_NODE_PATH
-    previous = _FORCE_NODE_PATH
-    _FORCE_NODE_PATH = True
-    try:
-        yield
-    finally:
-        _FORCE_NODE_PATH = previous
-
-
-def compiled_enabled() -> bool:
-    """Whether compiled tables are currently used for inference."""
-    return not _FORCE_NODE_PATH
-
-
-# ---------------------------------------------------------------------------
-# Shared index buffer (the node-walk fallback's scratch)
+# Shared index buffer
 # ---------------------------------------------------------------------------
 
 _arange_lock = threading.Lock()
@@ -89,8 +56,8 @@ _arange_buf = np.empty(0, dtype=np.intp)
 def shared_arange(n: int) -> np.ndarray:
     """First ``n`` indices from a shared, read-only arange buffer.
 
-    The node-walk fallbacks route every sample through the root with an
-    index vector; this grows one immutable buffer instead of rebuilding
+    The table traversal and the boosting fit's per-tree node walk index
+    rows with it; this grows one immutable buffer instead of rebuilding
     ``np.arange(N)`` per call.  The returned view is write-protected —
     callers only ever fancy-index it, producing fresh arrays.
     """

@@ -14,7 +14,7 @@ from typing import List, Optional
 import numpy as np
 
 from . import compiled as _compiled
-from .base import BaseEstimator, check_X, check_X_y
+from .base import BaseEstimator, check_X_y
 from .tree import DecisionTreeClassifier, DecisionTreeRegressor
 
 __all__ = ["RandomForestClassifier", "RandomForestRegressor"]
@@ -101,25 +101,15 @@ class RandomForestClassifier(_BaseForest):
         return self.n_classes_
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        self._require_fitted("trees_")
-        X = check_X(X)
+        self._require_fitted("trees_", "compiled_")
+        X = self._check_X_width(X, self.feature_importances_.size)
         out = np.zeros((X.shape[0], self.n_classes_))
-        table = getattr(self, "compiled_", None)
-        if table is not None and _compiled.compiled_enabled():
-            # One fused traversal of every member; the table zero-pads
-            # members that saw fewer classes, so accumulating the full
-            # width adds exact zeros — bit-identical to the node loop.
-            probs = table.leaf_values(X)
-            for t in range(probs.shape[0]):
-                out += probs[t]
-        else:
-            # Trees trained on bootstrap samples may not have seen every
-            # class; pad their probability vectors to the forest's
-            # width.  X is validated once here, so the member walk uses
-            # the trusted node path.
-            for tree in self.trees_:
-                p = tree._predict_values_nodes(X)
-                out[:, : p.shape[1]] += p
+        # One fused traversal of every member; the table zero-pads
+        # members that saw fewer classes, so accumulating the full
+        # width adds exact zeros — bit-identical to a per-member loop.
+        probs = self.compiled_.leaf_values(X)
+        for t in range(probs.shape[0]):
+            out += probs[t]
         return out / len(self.trees_)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
@@ -140,13 +130,8 @@ class RandomForestRegressor(_BaseForest):
         return 1
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        self._require_fitted("trees_")
-        X = check_X(X)
-        table = getattr(self, "compiled_", None)
-        if table is not None and _compiled.compiled_enabled():
-            # Fused traversal gives the same (n_trees, n) prediction
-            # rows the member loop stacks, so the mean is bit-identical.
-            return np.mean(table.leaf_scalars(X), axis=0)
-        return np.mean(
-            [t._predict_values_nodes(X)[:, 0] for t in self.trees_], axis=0
-        )
+        self._require_fitted("trees_", "compiled_")
+        X = self._check_X_width(X, self.feature_importances_.size)
+        # Fused traversal gives the (n_trees, n) prediction rows a
+        # per-member loop stacks, so the mean is bit-identical.
+        return np.mean(self.compiled_.leaf_scalars(X), axis=0)

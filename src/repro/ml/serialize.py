@@ -230,9 +230,10 @@ def _rebuild_boost_trees(nodes, offsets, gain, splits, params: list,
             f"{len(params)} parameter rows, {len(gain)} gain rows")
     trees = []
     for root, p, g, sp in zip(roots, params, gain, splits):
-        max_depth, reg_lambda, gamma, min_child_weight, presort, n_features = p
+        # Slot 4 is reserved: builds that had a ``presort`` knob stored it.
+        max_depth, reg_lambda, gamma, min_child_weight, _, n_features = p
         tree = _BoostTree(int(max_depth), float(reg_lambda), float(gamma),
-                          float(min_child_weight), presort=bool(presort))
+                          float(min_child_weight))
         tree.n_features = int(n_features)
         tree.root = root
         tree.gain_by_feature = g
@@ -315,8 +316,10 @@ class _Encoder:
     def _boost_trees(self, trees: list, shape: List[int]) -> Dict[str, Any]:
         """One record for a whole grid of boosting trees."""
         try:
+            # Slot 4 stays ``True``, the value builds with a ``presort``
+            # knob expect, so they still read what this build writes.
             params = [[t.max_depth, t.reg_lambda, t.gamma, t.min_child_weight,
-                       t.presort, int(t.n_features)] for t in trees]
+                       True, int(t.n_features)] for t in trees]
             gain = np.stack([t.gain_by_feature for t in trees])
             splits = np.stack([t.splits_by_feature for t in trees])
         except (AttributeError, TypeError, ValueError) as exc:
@@ -421,7 +424,9 @@ class _Decoder:
             return Pipeline([[n, self.decode_estimator(s)]
                              for n, s in obj["steps"]])
         cls = classes[name]
-        est = cls(**self.decode(obj["params"]))
+        params = self.decode(obj["params"])
+        params.pop("presort", None)  # a retired knob older artifacts store
+        est = cls(**params)
         est.set_state(self.decode(obj["state"]))
         return est
 

@@ -18,11 +18,15 @@ Because both the root argsort and the partition are stable, the value
 / target sequences seen at every node are *identical* to the historical
 per-node ``np.argsort(kind="stable")`` implementation, so splits,
 thresholds and predictions are bit-for-bit unchanged (asserted by
-``tests/test_ml_presort_equivalence.py``).  ``presort=False`` keeps the
-historical per-node sorting path selectable as that test's oracle.
-Fits smaller than :data:`PRESORT_MIN_SAMPLES` dispatch to the per-node
-path even under ``presort=True``: there the root argsort and index
-bookkeeping cost more than they save.
+``tests/test_ml_presort_equivalence.py``).  Fits smaller than
+:data:`PRESORT_MIN_SAMPLES` take that per-node sorting path: there the
+root argsort and index bookkeeping cost more than they save.  The test
+forces it on larger fits by raising the threshold, which makes it the
+presorted path's oracle.
+
+Predictions read the fitted tree's compiled table
+(:mod:`repro.ml.compiled`); the node-graph walk it replaced is kept in
+``tests/_ml_oracle.py``.
 """
 
 from __future__ import annotations
@@ -33,15 +37,15 @@ from typing import Optional
 import numpy as np
 
 from . import compiled as _compiled
-from .base import BaseEstimator, check_X, check_X_y
+from .base import BaseEstimator, check_X_y
 
 __all__ = ["DecisionTreeClassifier", "DecisionTreeRegressor", "PRESORT_MIN_SAMPLES"]
 
-#: Sample count below which ``presort=True`` fits dispatch to the
-#: per-node sorting path anyway.  Measured crossover on the labeling
-#: feature matrices: presort is ~0.94x at n=36 and only breaks even
-#: around n≈128, gaining 1.1–1.15x from n≈256 up.  Both paths build
-#: bit-identical trees, so the threshold affects speed only.
+#: Sample count below which fits take the per-node sorting path.
+#: Measured crossover on the labeling feature matrices: presort is
+#: ~0.94x at n=36 and only breaks even around n≈128, gaining 1.1–1.15x
+#: from n≈256 up.  Both paths build bit-identical trees, so the
+#: threshold affects speed only.
 PRESORT_MIN_SAMPLES = 128
 
 
@@ -145,14 +149,12 @@ class _BaseTree(BaseEstimator):
         min_samples_leaf: int = 1,
         max_features: Optional[int] = None,
         seed: int = 0,
-        presort: bool = True,
     ) -> None:
         self.max_depth = max_depth
         self.min_samples_split = min_samples_split
         self.min_samples_leaf = min_samples_leaf
         self.max_features = max_features
         self.seed = seed
-        self.presort = presort
 
     # subclass hooks ------------------------------------------------------
 
@@ -179,7 +181,7 @@ class _BaseTree(BaseEstimator):
         self._rng = np.random.default_rng(self.seed)
         n = X.shape[0]
         idx = np.arange(n)
-        if self.presort and n >= PRESORT_MIN_SAMPLES:
+        if n >= PRESORT_MIN_SAMPLES:
             # One stable argsort per feature for the whole fit; nodes
             # below only partition these index lists, never re-sort.
             sorted_idx = np.ascontiguousarray(np.argsort(X, axis=0, kind="stable").T)
@@ -263,51 +265,10 @@ class _BaseTree(BaseEstimator):
     # prediction --------------------------------------------------------------
 
     def _predict_values(self, X: np.ndarray) -> np.ndarray:
-        """Route all samples through the tree, returning leaf values."""
-        self._require_fitted("root_")
-        X = check_X(X)
-        if X.shape[1] != self.n_features_:
-            raise ValueError(
-                f"X has {X.shape[1]} features, tree was fit with {self.n_features_}"
-            )
-        return self._predict_values_trusted(X)
-
-    def _predict_values_trusted(self, X: np.ndarray) -> np.ndarray:
-        """Leaf values for already-validated float64 input.
-
-        Dispatches to the compiled flat-array table when one is
-        attached; the node-graph walk below stays as the bit-identical
-        reference path (and the fallback for ``node_path()`` runs).
-        """
-        table = getattr(self, "compiled_", None)
-        if table is not None and _compiled.compiled_enabled():
-            return table.leaf_values(X)[0]
-        return self._predict_values_nodes(X)
-
-    def _predict_values_nodes(self, X: np.ndarray) -> np.ndarray:
-        """Reference node-graph walk (trusted input)."""
-        n = X.shape[0]
-        out = np.empty((n, self.root_.value.size))
-        # One shared root index vector and one boolean scratch reused
-        # down the stack: idx[mask] copies immediately, so the scratch
-        # can be overwritten by the next node.
-        mask_buf = np.empty(n, dtype=bool)
-        stack = [(self.root_, _compiled.shared_arange(n))]
-        while stack:
-            node, idx = stack.pop()
-            if idx.size == 0:
-                continue
-            if node.is_leaf:
-                out[idx] = node.value
-                continue
-            mask = np.less_equal(
-                X[idx, node.feature], node.threshold, out=mask_buf[: idx.size]
-            )
-            idx_left = idx[mask]
-            np.logical_not(mask, out=mask)
-            stack.append((node.left, idx_left))
-            stack.append((node.right, idx[mask]))
-        return out
+        """Leaf values of every sample, read from the compiled table."""
+        self._require_fitted("root_", "compiled_")
+        X = self._check_X_width(X, self.n_features_)
+        return self.compiled_.leaf_values(X)[0]
 
     @property
     def depth_(self) -> int:

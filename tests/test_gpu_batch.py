@@ -321,19 +321,3 @@ class TestFleetDevices:
                                    DEVICES[key], "single")
             assert np.all(batch.seconds > 0)
 
-
-class TestPresortDispatch:
-    def test_small_fit_matches_presorted(self):
-        from repro.ml import DecisionTreeClassifier
-        from repro.ml.tree import PRESORT_MIN_SAMPLES
-
-        rng = np.random.default_rng(0)
-        for n in (PRESORT_MIN_SAMPLES - 1, PRESORT_MIN_SAMPLES + 1):
-            X = rng.standard_normal((n, 6))
-            y = (X[:, 0] + X[:, 1] > 0).astype(np.int64)
-            a = DecisionTreeClassifier(max_depth=8, presort=True).fit(X, y)
-            b = DecisionTreeClassifier(max_depth=8, presort=False).fit(X, y)
-            np.testing.assert_array_equal(a.predict(X), b.predict(X))
-            np.testing.assert_array_equal(
-                a.feature_importances_, b.feature_importances_
-            )

@@ -5,7 +5,8 @@ for every tree-based model, the fused table traversal must reproduce the
 node-graph walk exactly (``np.array_equal``, not ``allclose``).  These
 tests pin that across the estimator zoo, ``warm_fit`` continuations,
 ``Pipeline`` wrapping, every ``MODEL_REGISTRY`` / ``REGRESSOR_REGISTRY``
-family, and registry save→load→predict round trips.
+family, and registry save→load→predict round trips.  The node walks are
+the oracle in ``tests/_ml_oracle.py``; :func:`node_path` installs them.
 """
 
 import numpy as np
@@ -26,9 +27,11 @@ from repro.ml import (
     RandomForestRegressor,
 )
 from repro.ml import compiled as C
-from repro.ml.compiled import TreeTable, node_path
+from repro.ml.compiled import TreeTable
 from repro.ml.preprocessing import Pipeline, StandardScaler
 from repro.ml.serialize import load_estimator, save_estimator
+
+from _ml_oracle import node_path
 
 
 @pytest.fixture(scope="module")
@@ -62,15 +65,6 @@ def _node_vs_compiled(model, method, X):
 
 
 class TestPrimitives:
-    def test_node_path_flag(self):
-        assert C.compiled_enabled()
-        with node_path():
-            assert not C.compiled_enabled()
-            with node_path():
-                assert not C.compiled_enabled()
-            assert not C.compiled_enabled()
-        assert C.compiled_enabled()
-
     def test_shared_arange_grows_and_is_readonly(self):
         a = C.shared_arange(10)
         assert not a.flags.writeable

@@ -8,15 +8,19 @@ from repro.ml import (
     DecisionTreeClassifier,
     DecisionTreeRegressor,
     GradientBoostingClassifier,
+    GradientBoostingRegressor,
     GridSearchCV,
     KFold,
     MLPClassifier,
     Pipeline,
+    RandomForestClassifier,
+    RandomForestRegressor,
     StandardScaler,
     accuracy_score,
     clone,
     cross_val_score,
 )
+from repro.ml.base import NotFittedError
 
 
 class TestDegenerateData:
@@ -59,6 +63,62 @@ class TestDegenerateData:
             pred = model.predict(X)
             assert set(np.unique(pred)) <= {0, 1, 2}
             assert accuracy_score(y, pred) > 0.8
+
+
+TREE_MODELS = {
+    "tree_clf": lambda: DecisionTreeClassifier(max_depth=4),
+    "tree_reg": lambda: DecisionTreeRegressor(max_depth=4),
+    "forest_clf": lambda: RandomForestClassifier(n_estimators=4, max_depth=4),
+    "forest_reg": lambda: RandomForestRegressor(n_estimators=4, max_depth=4),
+    "boost_clf": lambda: GradientBoostingClassifier(n_estimators=3, max_depth=3),
+    "boost_reg": lambda: GradientBoostingRegressor(n_estimators=3, max_depth=3),
+}
+
+
+@pytest.fixture(scope="module")
+def tree_models():
+    """The six tree estimators fitted on 6 features (3 classes)."""
+    rng = np.random.default_rng(5)
+    X = rng.standard_normal((60, 6))
+    y = (X[:, 0] > 0).astype(int) + (X[:, 1] > 0.5)
+    return {name: make().fit(X, y if name.endswith("clf") else X[:, 2])
+            for name, make in TREE_MODELS.items()}
+
+
+def _predict_methods(model):
+    return [m for m in ("predict", "predict_proba", "decision_function")
+            if hasattr(model, m)]
+
+
+class TestTreeModelInputs:
+    """Every tree estimator predicts from its compiled table; inputs
+    that do not fit the table fail with named errors."""
+
+    @pytest.mark.parametrize("width", [4, 12], ids=["narrower", "wider"])
+    @pytest.mark.parametrize("name", sorted(TREE_MODELS))
+    def test_feature_count_mismatch_raises(self, tree_models, name, width):
+        model = tree_models[name]
+        X = np.ones((5, width))
+        for method in _predict_methods(model):
+            with pytest.raises(ValueError, match=f"X has {width} features"):
+                getattr(model, method)(X)
+
+    @pytest.mark.parametrize("name", sorted(TREE_MODELS))
+    def test_zero_rows_give_empty_results(self, tree_models, name):
+        model = tree_models[name]
+        for method in _predict_methods(model):
+            out = getattr(model, method)(np.empty((0, 6)))
+            expected = (0,) if method == "predict" else (0, model.n_classes_)
+            assert out.shape == expected, method
+
+    @pytest.mark.parametrize("name", sorted(TREE_MODELS))
+    def test_missing_table_is_not_fitted(self, tree_models, name):
+        model = clone(tree_models[name])
+        model.set_state({k: v for k, v in tree_models[name].get_state().items()
+                         if k != "compiled_"})
+        for method in _predict_methods(model):
+            with pytest.raises(NotFittedError, match="compiled_"):
+                getattr(model, method)(np.zeros((2, 6)))
 
 
 class TestCloneSemantics:

@@ -1,11 +1,19 @@
 """Presorted-feature training must be bit-identical to per-node sorting.
 
-``presort=True`` (one stable argsort per feature at the root, stable
-partition down the tree) and ``presort=False`` (the historical stable
-argsort at every node) see the same value/target sequences at every
-node, so splits, thresholds, importances and predictions must match
-exactly — ``np.array_equal``, not ``allclose``.
+Presorted fits (one stable argsort per feature at the root — per
+boosting round for the boosters — and a stable partition down the tree)
+and per-node sorting (the historical stable argsort at every node) see
+the same value/target sequences at every node, so splits, thresholds,
+importances and predictions must match exactly — ``np.array_equal``,
+not ``allclose``.
+
+The per-node references: CART's own small-fit path, forced by raising
+``repro.ml.tree.PRESORT_MIN_SAMPLES`` above the sample count, and the
+booster tree of ``tests/_ml_oracle.py``, installed in place of
+``repro.ml.boosting._BoostTree``.
 """
+
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -16,6 +24,9 @@ from repro.ml import (
     GradientBoostingClassifier,
     GradientBoostingRegressor,
 )
+from repro.ml import boosting, tree
+
+from _ml_oracle import PerFeatureBoostTree
 
 
 @pytest.fixture(scope="module")
@@ -29,13 +40,24 @@ def data():
     return X, y_clf, y_reg
 
 
+@contextmanager
+def per_node():
+    """Fits inside the block sort at every node: CART takes its small-fit
+    path at any size, boosters grow the oracle's per-node trees."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tree, "PRESORT_MIN_SAMPLES", np.inf)
+        patch.setattr(boosting, "_BoostTree", PerFeatureBoostTree)
+        yield
+
+
 @pytest.mark.parametrize("max_depth", [2, 16])
 @pytest.mark.parametrize("max_features", [None, 3])
 def test_tree_classifier_identical(data, max_depth, max_features):
     X, y, _ = data
     kw = dict(max_depth=max_depth, max_features=max_features, seed=7)
-    a = DecisionTreeClassifier(presort=True, **kw).fit(X, y)
-    b = DecisionTreeClassifier(presort=False, **kw).fit(X, y)
+    a = DecisionTreeClassifier(**kw).fit(X, y)
+    with per_node():
+        b = DecisionTreeClassifier(**kw).fit(X, y)
     assert np.array_equal(a.predict_proba(X), b.predict_proba(X))
     assert np.array_equal(a.feature_importances_, b.feature_importances_)
     assert np.array_equal(a.split_counts_, b.split_counts_)
@@ -46,8 +68,9 @@ def test_tree_classifier_identical(data, max_depth, max_features):
 def test_tree_regressor_identical(data, min_samples_leaf):
     X, _, y = data
     kw = dict(max_depth=16, min_samples_leaf=min_samples_leaf, seed=7)
-    a = DecisionTreeRegressor(presort=True, **kw).fit(X, y)
-    b = DecisionTreeRegressor(presort=False, **kw).fit(X, y)
+    a = DecisionTreeRegressor(**kw).fit(X, y)
+    with per_node():
+        b = DecisionTreeRegressor(**kw).fit(X, y)
     assert np.array_equal(a.predict(X), b.predict(X))
     assert np.array_equal(a.feature_importances_, b.feature_importances_)
 
@@ -72,8 +95,10 @@ def assert_same_booster(a, b, X):
 
 
 def fit_pair(cls, X, y, **kw):
-    return (cls(presort=True, **kw).fit(X, y),
-            cls(presort=False, **kw).fit(X, y))
+    a = cls(**kw).fit(X, y)
+    with per_node():
+        b = cls(**kw).fit(X, y)
+    return a, b
 
 
 @pytest.mark.parametrize("subsample", [1.0, 0.9, 0.6])
@@ -99,7 +124,8 @@ def test_boosting_warm_fit_identical(data, cls, subsample):
     kw = dict(n_estimators=6, max_depth=4, subsample=subsample, seed=5)
     a, b = fit_pair(cls, X[:150], y[:150], **kw)
     a.warm_fit(X[100:], y[100:], n_rounds=4)
-    b.warm_fit(X[100:], y[100:], n_rounds=4)
+    with per_node():
+        b.warm_fit(X[100:], y[100:], n_rounds=4)
     assert_same_booster(a, b, X)
 
 
@@ -160,16 +186,19 @@ def test_boosting_many_classes_identical(data):
     assert_same_booster(a, b, X)
 
 
-def test_presort_is_a_params_knob(data):
-    """presort participates in get_params, so clones inherit it."""
-    X, y, _ = data
-    model = DecisionTreeClassifier(presort=False)
-    params = model.get_params()
-    assert params["presort"] is False
-    clone = DecisionTreeClassifier(**params)
-    assert clone.get_params()["presort"] is False
-    booster = GradientBoostingClassifier(n_estimators=2, presort=False)
-    assert booster.get_params()["presort"] is False
+class TestPresortDispatch:
+    def test_small_fit_matches_presorted(self):
+        rng = np.random.default_rng(0)
+        for n in (tree.PRESORT_MIN_SAMPLES - 1, tree.PRESORT_MIN_SAMPLES + 1):
+            X = rng.standard_normal((n, 6))
+            y = (X[:, 0] + X[:, 1] > 0).astype(np.int64)
+            a = DecisionTreeClassifier(max_depth=8).fit(X, y)
+            with per_node():
+                b = DecisionTreeClassifier(max_depth=8).fit(X, y)
+            np.testing.assert_array_equal(a.predict(X), b.predict(X))
+            np.testing.assert_array_equal(
+                a.feature_importances_, b.feature_importances_
+            )
 
 
 def test_fitted_trees_are_picklable(data):

@@ -180,6 +180,24 @@ class TestPooledLayout:
         for a, b in zip(est.trees_ + est.trees_[:1] + [est.trees_[1]], rebuilt):
             np.testing.assert_array_equal(a.predict(X), b.predict(X))
 
+    def test_retired_presort_knob_stays_readable_both_ways(self, clf_data):
+        """Older builds take a ``presort`` parameter and a 6-slot boosting
+        params row: this build drops the stored parameter on read, and
+        writes the row with ``True`` in its reserved slot."""
+        X, y = clf_data
+        est = GradientBoostingClassifier(n_estimators=2, max_depth=3).fit(X, y)
+        structure, arrays = encode_estimator(est)
+        params = dict(structure["params"]["__map__"])
+        assert "presort" not in params
+        state = dict(structure["state"]["__map__"])
+        (row,) = state["trees_"]["__boost_trees__"]["params"]
+        assert len(row) == 6 and row[4] is True
+        structure["params"]["__map__"].append(["presort", False])
+        restored = decode_estimator(structure, arrays)
+        assert "presort" not in restored.get_params()
+        np.testing.assert_array_equal(est.predict_proba(X),
+                                      restored.predict_proba(X))
+
     def test_object_arrays_rejected_at_save(self, tmp_path):
         with pytest.raises(SerializationError, match="object array"):
             save_payload({"bad": np.array([None, 1], dtype=object)},

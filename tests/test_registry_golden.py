@@ -44,7 +44,7 @@ def test_refit_reproduces_v2_selector(tmp_path):
     selector bit for bit: its compiled table and its importances.
 
     This pins the booster fit to artifacts written by an earlier build,
-    not only to the ``presort=False`` oracle."""
+    not only to the per-node sorting oracle of ``tests/_ml_oracle.py``."""
     import numpy as np
 
     from repro.serve import ModelRegistry
