@@ -2,8 +2,8 @@
 """Dump the public API surface of the ``repro`` package as stable text.
 
 Walks every public module, resolves each ``__all__`` export and prints
-one line per symbol — classes additionally list their public methods
-with full signatures.  The output is deterministic (sorted, no
+one line per symbol — classes additionally list their constructor and
+public methods with full signatures.  The output is deterministic (sorted, no
 addresses, no versions), so a checked-in copy acts as an API-surface
 lockfile:
 
@@ -63,6 +63,8 @@ def _describe(name: str, obj, lines: List[str]) -> None:
         bases = [b.__name__ for b in obj.__bases__ if b is not object]
         suffix = f"({', '.join(bases)})" if bases else ""
         lines.append(f"  class {name}{suffix}")
+        if inspect.isfunction(obj.__init__):  # Python-defined constructors
+            lines.append(f"    {name}.__init__{_signature(obj.__init__)}")
         members = inspect.getmembers(obj)
         for mname, member in sorted(members):
             if mname.startswith("_"):
