@@ -522,7 +522,7 @@ def _write_npz(path, structure: Any, arrays: Dict[str, np.ndarray],
 
 def _read_npz(path, schema: str) -> Tuple[Any, Dict[str, np.ndarray]]:
     try:
-        with np.load(path, allow_pickle=False) as z:
+        with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as z:
             header = json.loads(str(z["__state__"][()]))
             members = {k: z[k] for k in z.files if k != "__state__"}
     except Exception as exc:

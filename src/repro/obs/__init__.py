@@ -232,8 +232,9 @@ def counter(name: str) -> Counter:
     """The process-wide counter ``name`` (always live; see note).
 
     Unlike :func:`incr` this bypasses the enabled check — layers whose
-    telemetry must stay exact regardless of tracing state (e.g. the
-    serving façade) hold the metric objects directly.
+    telemetry must stay exact regardless of tracing state hold the
+    metric objects directly (the serving telemetry builds its own and
+    publishes them with :meth:`MetricsRegistry.publish`).
     """
     return _metrics.counter(name)
 

@@ -8,19 +8,21 @@ counter increment is one lock acquisition and one float add — so hot
 paths can afford to keep them always on once the caller has checked
 :func:`repro.obs.enabled`.
 
-Histograms use *fixed* bucket boundaries (a 1-2-5 geometric series by
-default, spanning nanoseconds to minutes for timing data), so quantile
-estimates need no reservoir: :meth:`Histogram.quantile` interpolates
-inside the bucket containing the requested rank.  The estimate is exact
-to within one bucket width — plenty for the p50/p95/p99 dashboards this
-repo tracks — at O(1) memory per metric regardless of traffic.
+Histograms use *fixed* bucket boundaries (by default a geometric series
+with 20 edges per decade, spanning 100 ns to 100 s for timing data), so
+quantile estimates need no reservoir: :meth:`Histogram.quantile`
+interpolates inside the bucket containing the requested rank.  Adjacent
+default edges differ by 12%, so the estimate stays within a few percent
+of the sample quantile (``tests/test_obs.py`` bounds p50/p95 at 5% and
+p99 at 10% on lognormal data) at O(1) memory per metric regardless of
+traffic.
 """
 
 from __future__ import annotations
 
 import threading
 from bisect import bisect_left
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 __all__ = [
     "Counter",
@@ -31,25 +33,10 @@ __all__ = [
 ]
 
 
-def _geometric_125(lo: float, hi: float) -> Tuple[float, ...]:
-    """1-2-5 series boundaries covering [lo, hi]."""
-    out: List[float] = []
-    decade = 1.0
-    while decade > lo:
-        decade /= 10.0
-    while decade <= hi:
-        for m in (1.0, 2.0, 5.0):
-            edge = m * decade
-            if lo <= edge <= hi:
-                out.append(edge)
-        decade *= 10.0
-    return tuple(out)
-
-
-#: Default histogram boundaries: 1-2-5 series from 100 ns to 100 s.
-#: Good for timing data (the dominant histogram use in this repo);
-#: callers with other units pass explicit ``buckets``.
-DEFAULT_BUCKETS: Tuple[float, ...] = _geometric_125(1e-7, 1e2)
+#: Default histogram boundaries: 20 geometric edges per decade from
+#: 100 ns to 100 s.  Good for timing data (the dominant histogram use in
+#: this repo); callers with other units pass explicit ``buckets``.
+DEFAULT_BUCKETS: Tuple[float, ...] = tuple(10 ** (k / 20) for k in range(-140, 41))
 
 
 class Counter:
@@ -115,7 +102,10 @@ class Histogram:
     __slots__ = ("name", "boundaries", "_lock", "_counts", "_overflow",
                  "_count", "_sum", "_min", "_max")
 
-    def __init__(self, name: str, boundaries: Sequence[float] = DEFAULT_BUCKETS) -> None:
+    def __init__(self, name: str,
+                 boundaries: Optional[Sequence[float]] = None) -> None:
+        if boundaries is None:
+            boundaries = DEFAULT_BUCKETS
         bounds = tuple(float(b) for b in boundaries)
         if not bounds or any(b2 <= b1 for b1, b2 in zip(bounds, bounds[1:])):
             raise ValueError("boundaries must be a non-empty increasing sequence")
@@ -246,9 +236,18 @@ class MetricsRegistry:
         self, name: str, boundaries: Optional[Sequence[float]] = None
     ) -> Histogram:
         """The histogram named ``name`` (created on first use)."""
-        if boundaries is None:
-            boundaries = DEFAULT_BUCKETS
         return self._get_or_create(name, Histogram, boundaries)
+
+    def publish(self, metric: Union[Counter, Gauge, Histogram]):
+        """Register ``metric`` under its name, replacing any metric
+        already there; returns ``metric``.
+
+        For owners that build their own metric objects (one per serving
+        process component) but want them visible in process snapshots.
+        """
+        with self._lock:
+            self._metrics[metric.name] = metric
+        return metric
 
     def get(self, name: str):
         """The metric named ``name``, or ``None``."""

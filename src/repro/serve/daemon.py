@@ -20,13 +20,13 @@ a pipe, a socket wrapper or a test's ``StringIO``.  Operations:
     configuration's key) or object.
 
 ``{"op": "stats"}``
-    Telemetry snapshot (latency percentiles, throughput, cache hit
-    rates, rolling regret).
+    Telemetry snapshot (lifetime latency percentiles, throughput, cache
+    hit rates; regret over the feedback window).
 
 ``{"op": "metrics"}``
     Process-wide observability snapshot (:func:`repro.obs.snapshot`):
     every span and metric the shared telemetry spine has collected,
-    including the ``serve.*`` mirrors of the service telemetry.
+    including the ``serve.*`` metrics the ``stats`` op reads.
 
 ``{"op": "adaptive"}``
     Adaptive-loop status (requires an attached

@@ -42,7 +42,7 @@ import shutil
 import uuid
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from ..core.predictor import PerformancePredictor
 from ..core.selector import FormatSelector
@@ -130,10 +130,11 @@ def _replace_text(path: Path, text: str) -> None:
     _fsync(path.parent)
 
 
-def _feature_names(feature_set) -> List[str]:
+def feature_names(feature_set) -> Tuple[str, ...]:
+    """The ordered feature names of a feature-set name or sequence."""
     if isinstance(feature_set, str):
-        return list(FEATURE_SETS[feature_set])
-    return list(feature_set)
+        return tuple(FEATURE_SETS[feature_set])
+    return tuple(feature_set)
 
 
 def _model_kind(model) -> str:
@@ -242,6 +243,7 @@ class ModelRegistry:
             raise RegistryError(f"cannot serialize model: {exc}") from exc
         _fsync(artifact)
         formats = getattr(model, "formats_", None)
+        names = feature_names(model.feature_set)
         meta = {
             "schema": ARTIFACT_SCHEMA,
             "name": name,
@@ -250,8 +252,8 @@ class ModelRegistry:
             "model_name": model.model_name,
             "feature_set": model.feature_set
             if isinstance(model.feature_set, str) else list(model.feature_set),
-            "feature_names": _feature_names(model.feature_set),
-            "n_features": len(_feature_names(model.feature_set)),
+            "feature_names": list(names),
+            "n_features": len(names),
             "formats": None if formats is None else list(formats),
             "dtype": "float64",
             "device": getattr(dataset, "device", None),

@@ -3,7 +3,8 @@
 One :class:`ServiceTelemetry` instance aggregates everything a
 :class:`~repro.serve.service.SelectionService` observes:
 
-* per-request latency (bounded reservoir → mean / p50 / p95 / p99),
+* per-request latency (``serve.request_seconds`` histogram → mean /
+  p50 / p95 / p99 over the service lifetime),
 * request and batch counts → throughput over the service lifetime,
 * batch-size distribution (cross-client micro-batching shows up here:
   a concurrent server funneling many connections through one
@@ -12,99 +13,67 @@ One :class:`ServiceTelemetry` instance aggregates everything a
   requests so error floods never distort throughput/latency stats),
 * connection lifecycle (opened / active / disconnected mid-request),
 * feature- and decision-cache hit rates,
-* a rolling **regret** estimate versus the oracle, fed by the online
-  feedback loop: for each served decision whose observed per-format
-  times come back, ``regret = t_chosen / t_best - 1`` (0 = the service
-  picked the measured-fastest format).
+* **regret** versus the oracle, fed by the online feedback loop: for
+  each served decision whose observed per-format times come back,
+  ``regret = t_chosen / t_best - 1`` (0 = the service picked the
+  measured-fastest format).  An exponentially weighted mean is kept in
+  the ``serve.regret_ewma`` gauge; the mean, p95 and oracle-hit rate
+  are read off the service's :class:`~repro.serve.feedback.FeedbackLog`
+  window.
 
-All mutators are thread-safe; :meth:`snapshot` returns a plain dict so
-the numbers drop straight into JSON responses and bench reports.
-
-ServiceTelemetry is also a **façade over the shared telemetry spine**
-(:mod:`repro.obs`): every recording call mirrors into process-wide
-``serve.*`` metrics, so a ``repro-spmv obs`` snapshot of a serving
-process shows the same counts this class reports.  The mirror metrics
-are held directly (always live, independent of ``obs.enabled()``),
-because serving telemetry must stay exact whether or not tracing is on.
+Every number lives in exactly one :mod:`repro.obs` metric object.  The
+instance builds its own ``serve.*`` objects and publishes them in the
+process registry (replacing any earlier service's), so the daemon's
+``stats`` and ``metrics`` ops read the same objects, while two services
+in one process keep separate stats.  The objects are always live,
+independent of ``obs.enabled()``, because serving telemetry must stay
+exact whether or not tracing is on.  :meth:`snapshot` is a view over
+them and returns a plain dict for JSON responses and bench reports.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from collections import deque
-from typing import Deque, Dict, Optional
+from typing import Dict
 
 import numpy as np
 
 from .. import obs
+from .feedback import FeedbackLog
 
 __all__ = ["ServiceTelemetry"]
 
-
-def _percentile(values, q: float) -> float:
-    if not values:
-        return 0.0
-    return float(np.percentile(np.asarray(values, dtype=np.float64), q))
+#: Smoothing factor of the exponentially weighted regret estimate.
+EWMA_ALPHA = 0.1
 
 
 class ServiceTelemetry:
-    """Thread-safe rolling counters for one serving process.
+    """Thread-safe serving counters, stored as published obs metrics.
 
-    Parameters
-    ----------
-    window:
-        Bound on the latency / regret reservoirs (the most recent
-        ``window`` observations define the rolling statistics).
-    ewma_alpha:
-        Smoothing factor of the exponentially weighted regret estimate.
+    ``feedback`` is the service's feedback log; the regret mean, p95
+    and oracle-hit rate of :meth:`snapshot` cover its retained window.
     """
 
-    def __init__(self, window: int = 1024, ewma_alpha: float = 0.1) -> None:
-        if window < 1:
-            raise ValueError("window must be >= 1")
-        if not 0.0 < ewma_alpha <= 1.0:
-            raise ValueError("ewma_alpha must be in (0, 1]")
-        self.window = window
-        self.ewma_alpha = ewma_alpha
-        self._lock = threading.Lock()
+    def __init__(self, feedback: FeedbackLog) -> None:
+        self.feedback = feedback
         self._start = time.perf_counter()
-        self.n_requests = 0
-        self.n_batches = 0
-        self.n_protocol_errors = 0
-        self.n_connections = 0
-        self.n_active_connections = 0
-        self.n_disconnects = 0
-        self.batch_size_max = 0
-        self.feature_cache_hits = 0
-        self.feature_cache_misses = 0
-        self.decision_cache_hits = 0
-        self.decision_cache_misses = 0
-        self.n_feedback = 0
-        self._latencies_s: Deque[float] = deque(maxlen=window)
-        self._batch_sizes: Deque[int] = deque(maxlen=window)
-        self._regrets: Deque[float] = deque(maxlen=window)
-        self._regret_ewma: Optional[float] = None
-        # Shared-registry mirrors (see module docstring).  Metric objects
-        # are resolved once here, so the recording hot path pays one
-        # method call per mirror, not a registry lookup.
-        self._m_requests = obs.counter("serve.requests")
-        self._m_batches = obs.counter("serve.batches")
-        self._m_errors = obs.counter("serve.errors")
-        self._m_connections = obs.counter("serve.connections")
-        self._m_disconnects = obs.counter("serve.disconnects")
-        self._m_active = obs.gauge("serve.active_connections")
-        self._m_batch_size = obs.histogram(
-            "serve.batch_size", boundaries=(1, 2, 4, 8, 16, 32, 64, 128)
-        )
-        self._m_feedback = obs.counter("serve.feedback")
-        self._m_latency = obs.histogram("serve.request_seconds")
-        self._m_regret_ewma = obs.gauge("serve.regret_ewma")
-        self._m_cache = {
-            ("feature", True): obs.counter("serve.feature_cache_hits"),
-            ("feature", False): obs.counter("serve.feature_cache_misses"),
-            ("decision", True): obs.counter("serve.decision_cache_hits"),
-            ("decision", False): obs.counter("serve.decision_cache_misses"),
+        self._ewma_lock = threading.Lock()
+        publish = obs.get_metrics().publish
+        self._requests = publish(obs.Counter("serve.requests"))
+        self._errors = publish(obs.Counter("serve.errors"))
+        self._connections = publish(obs.Counter("serve.connections"))
+        self._disconnects = publish(obs.Counter("serve.disconnects"))
+        self._active = publish(obs.Gauge("serve.active_connections"))
+        self._batch_size = publish(obs.Histogram(
+            "serve.batch_size", (1, 2, 4, 8, 16, 32, 64, 128)))
+        self._latency = publish(obs.Histogram("serve.request_seconds"))
+        self._n_feedback = publish(obs.Counter("serve.feedback"))
+        self._regret_ewma = publish(obs.Gauge("serve.regret_ewma"))
+        self._cache = {
+            name: publish(obs.Counter(f"serve.{name}"))
+            for name in ("feature_cache_hits", "feature_cache_misses",
+                         "decision_cache_hits", "decision_cache_misses")
         }
 
     # -- recording ---------------------------------------------------------
@@ -120,129 +89,85 @@ class ServiceTelemetry:
         decision_misses: int = 0,
     ) -> None:
         """Account one (possibly single-request) prediction batch."""
+        self._requests.inc(n_requests)
+        self._batch_size.observe(n_requests)
+        for name, n in (("feature_cache_hits", feature_hits),
+                        ("feature_cache_misses", feature_misses),
+                        ("decision_cache_hits", decision_hits),
+                        ("decision_cache_misses", decision_misses)):
+            if n:
+                self._cache[name].inc(n)
         per_request = latency_s / max(1, n_requests)
-        with self._lock:
-            self.n_requests += n_requests
-            self.n_batches += 1
-            self._batch_sizes.append(n_requests)
-            self.batch_size_max = max(self.batch_size_max, n_requests)
-            self.feature_cache_hits += feature_hits
-            self.feature_cache_misses += feature_misses
-            self.decision_cache_hits += decision_hits
-            self.decision_cache_misses += decision_misses
-            for _ in range(n_requests):
-                self._latencies_s.append(per_request)
-        self._m_requests.inc(n_requests)
-        self._m_batches.inc()
-        self._m_batch_size.observe(n_requests)
-        for kind, hits in (("feature", feature_hits), ("decision", decision_hits)):
-            if hits:
-                self._m_cache[(kind, True)].inc(hits)
-        for kind, misses in (("feature", feature_misses),
-                             ("decision", decision_misses)):
-            if misses:
-                self._m_cache[(kind, False)].inc(misses)
         for _ in range(n_requests):
-            self._m_latency.observe(per_request)
+            self._latency.observe(per_request)
 
     def record_protocol_error(self) -> None:
         """Account one malformed request line (not a served request)."""
-        with self._lock:
-            self.n_protocol_errors += 1
-        self._m_errors.inc()
+        self._errors.inc()
 
     def record_connection_open(self) -> None:
         """Account one accepted client connection."""
-        with self._lock:
-            self.n_connections += 1
-            self.n_active_connections += 1
-            active = self.n_active_connections
-        self._m_connections.inc()
-        self._m_active.set(active)
+        self._connections.inc()
+        self._active.inc()
 
     def record_connection_close(self, *, disconnected: bool = False) -> None:
         """Account one finished connection (``disconnected`` = the peer
         vanished mid-request or a write to it failed)."""
-        with self._lock:
-            self.n_active_connections = max(0, self.n_active_connections - 1)
-            if disconnected:
-                self.n_disconnects += 1
-            active = self.n_active_connections
-        self._m_active.set(active)
+        self._active.inc(-1)
         if disconnected:
-            self._m_disconnects.inc()
+            self._disconnects.inc()
 
     def record_regret(self, regret: float) -> None:
         """Account one feedback observation (regret ≥ 0 vs the oracle)."""
-        regret = float(max(0.0, regret))
-        with self._lock:
-            self.n_feedback += 1
-            self._regrets.append(regret)
-            if self._regret_ewma is None:
-                self._regret_ewma = regret
-            else:
-                a = self.ewma_alpha
-                self._regret_ewma = a * regret + (1.0 - a) * self._regret_ewma
-            ewma = self._regret_ewma
-        self._m_feedback.inc()
-        self._m_regret_ewma.set(ewma)
+        regret = max(0.0, float(regret))
+        with self._ewma_lock:
+            ewma = self._regret_ewma.value if self._n_feedback.value else regret
+            self._regret_ewma.set(EWMA_ALPHA * regret + (1.0 - EWMA_ALPHA) * ewma)
+            self._n_feedback.inc()
 
     # -- reading -----------------------------------------------------------
 
-    @staticmethod
-    def _rate(hits: int, misses: int) -> float:
+    def _cache_view(self, kind: str) -> Dict:
+        hits = int(self._cache[f"{kind}_cache_hits"].value)
+        misses = int(self._cache[f"{kind}_cache_misses"].value)
         total = hits + misses
-        return hits / total if total else 0.0
+        return {"hits": hits, "misses": misses,
+                "hit_rate": hits / total if total else 0.0}
 
     def snapshot(self) -> Dict:
         """Current counters as a JSON-able dict."""
-        with self._lock:
-            lat = list(self._latencies_s)
-            sizes = list(self._batch_sizes)
-            regrets = list(self._regrets)
-            uptime = time.perf_counter() - self._start
-            return {
-                "uptime_s": uptime,
-                "requests": self.n_requests,
-                "batches": self.n_batches,
-                "protocol_errors": self.n_protocol_errors,
-                "throughput_rps": self.n_requests / uptime if uptime > 0 else 0.0,
-                "batch_size": {
-                    "max": self.batch_size_max,
-                    "mean": float(np.mean(sizes)) if sizes else 0.0,
-                    "gt1": int(sum(s > 1 for s in sizes)),
-                },
-                "connections": {
-                    "total": self.n_connections,
-                    "active": self.n_active_connections,
-                    "disconnects": self.n_disconnects,
-                },
-                "latency_ms": {
-                    "mean": 1e3 * float(np.mean(lat)) if lat else 0.0,
-                    "p50": 1e3 * _percentile(lat, 50),
-                    "p95": 1e3 * _percentile(lat, 95),
-                    "p99": 1e3 * _percentile(lat, 99),
-                },
-                "feature_cache": {
-                    "hits": self.feature_cache_hits,
-                    "misses": self.feature_cache_misses,
-                    "hit_rate": self._rate(self.feature_cache_hits,
-                                           self.feature_cache_misses),
-                },
-                "decision_cache": {
-                    "hits": self.decision_cache_hits,
-                    "misses": self.decision_cache_misses,
-                    "hit_rate": self._rate(self.decision_cache_hits,
-                                           self.decision_cache_misses),
-                },
-                "feedback": {
-                    "count": self.n_feedback,
-                    "regret_mean": float(np.mean(regrets)) if regrets else 0.0,
-                    "regret_p95": _percentile(regrets, 95),
-                    "regret_ewma": self._regret_ewma,
-                    "oracle_hit_rate": (
-                        float(np.mean([r <= 1e-12 for r in regrets]))
-                        if regrets else 0.0
-                    ),
-                },
-            }
+        uptime = time.perf_counter() - self._start
+        requests = int(self._requests.value)
+        sizes = self._batch_size.snapshot()
+        lat = self._latency.snapshot()
+        n_feedback = int(self._n_feedback.value)
+        regrets = np.array([e.regret for e in self.feedback.events()])
+        return {
+            "uptime_s": uptime,
+            "requests": requests,
+            "batches": sizes["count"],
+            "protocol_errors": int(self._errors.value),
+            "throughput_rps": requests / uptime if uptime > 0 else 0.0,
+            "batch_size": {
+                "max": int(sizes["max"]),
+                "mean": sizes["mean"],
+                "gt1": sizes["count"] - sizes["buckets"].get("1", 0),
+            },
+            "connections": {
+                "total": int(self._connections.value),
+                "active": int(self._active.value),
+                "disconnects": int(self._disconnects.value),
+            },
+            "latency_ms": {k: 1e3 * lat[k] for k in ("mean", "p50", "p95", "p99")},
+            "feature_cache": self._cache_view("feature"),
+            "decision_cache": self._cache_view("decision"),
+            "feedback": {
+                "count": n_feedback,
+                "regret_mean": float(regrets.mean()) if regrets.size else 0.0,
+                "regret_p95": (float(np.percentile(regrets, 95))
+                               if regrets.size else 0.0),
+                "regret_ewma": self._regret_ewma.value if n_feedback else None,
+                "oracle_hit_rate": (float(np.mean(regrets <= 1e-12))
+                                    if regrets.size else 0.0),
+            },
+        }

@@ -1,6 +1,8 @@
 """Round-trip tests for the pure-numpy estimator serialization codec."""
 
+import gc
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -270,6 +272,19 @@ class TestRejection:
         path.write_bytes(path.read_bytes()[:40])
         with pytest.raises(SerializationError):
             load_estimator(path)
+
+    def test_truncated_file_is_closed(self, clf_data, tmp_path):
+        X, y = clf_data
+        path = tmp_path / "m.npz"
+        save_estimator(DecisionTreeClassifier(max_depth=3).fit(X, y), path)
+        path.write_bytes(path.read_bytes()[:40])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(SerializationError):
+                load_estimator(path)
+            gc.collect()
+        leaks = [w for w in caught if issubclass(w.category, ResourceWarning)]
+        assert leaks == []
 
     def test_unencodable_object_rejected(self):
         with pytest.raises(SerializationError):

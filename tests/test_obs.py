@@ -134,6 +134,29 @@ class TestMetrics:
         assert 0.08 <= h["p95"] <= 0.11
         assert h["p50"] <= h["p95"] <= h["p99"] <= h["max"] + 1e-12
 
+    def test_default_buckets_resolve_quantiles(self):
+        """Bucketed p50/p95 stay within 5% of the sample quantile, p99
+        within 10%, on lognormal latencies (median 1 ms)."""
+        import numpy as np
+
+        for seed in range(10):
+            samples = np.random.default_rng(seed).lognormal(-7.0, 1.0, 2000)
+            h = obs.Histogram("lat")
+            for v in samples:
+                h.observe(v)
+            for q, tol in ((50, 0.05), (95, 0.05), (99, 0.10)):
+                exact = np.percentile(samples, q)
+                assert abs(h.quantile(q / 100) - exact) <= tol * exact, (seed, q)
+
+    def test_publish_replaces_registered_metric(self):
+        first = obs.counter("owned")
+        first.inc(3)
+        mine = obs.Counter("owned")
+        assert obs.get_metrics().publish(mine) is mine
+        mine.inc()
+        assert obs.counter("owned") is mine
+        assert obs.snapshot()["metrics"]["owned"]["value"] == 1.0
+
     def test_accessors_live_when_disabled(self):
         # counter()/gauge()/histogram() handles bypass the enabled check:
         # the serve telemetry facade needs exact counts regardless.

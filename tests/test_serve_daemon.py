@@ -119,7 +119,7 @@ class TestServeLoop:
         assert served == 5
         assert [r["ok"] for r in responses] == [True] * 3 + [False, True, True]
         assert responses[-1]["shutdown"] is True
-        assert service.telemetry.n_protocol_errors == 1
+        assert service.telemetry.snapshot()["protocol_errors"] == 1
         assert service.stats()["protocol_errors"] == 1
 
     def test_malformed_lines_do_not_consume_budget(self, service, train):
@@ -134,7 +134,7 @@ class TestServeLoop:
         assert served == 3                      # every valid request served
         assert len(responses) == 6              # errors still answered
         assert [r["ok"] for r in responses] == [False, True] * 3
-        assert service.telemetry.n_protocol_errors == 3
+        assert service.telemetry.snapshot()["protocol_errors"] == 3
 
     def test_max_requests(self, service, train):
         request = json.dumps(
@@ -235,6 +235,24 @@ class TestCLI:
                      "--selector", "ghost", "--daemon"]) == 1
 
 
+def _assert_stats_match_metrics(stats, metrics):
+    """Every count in ``stats`` equals its ``serve.*`` metric."""
+    value = lambda name: metrics[name]["value"]  # noqa: E731
+    assert value("serve.requests") == stats["requests"]
+    assert metrics["serve.batch_size"]["count"] == stats["batches"]
+    assert value("serve.errors") == stats["protocol_errors"]
+    assert value("serve.connections") == stats["connections"]["total"]
+    assert value("serve.active_connections") == stats["connections"]["active"]
+    assert value("serve.disconnects") == stats["connections"]["disconnects"]
+    for kind in ("feature", "decision"):
+        for what in ("hits", "misses"):
+            assert (value(f"serve.{kind}_cache_{what}")
+                    == stats[f"{kind}_cache"][what])
+    assert value("serve.feedback") == stats["feedback"]["count"]
+    if stats["feedback"]["count"]:
+        assert value("serve.regret_ewma") == stats["feedback"]["regret_ewma"]
+
+
 class TestObservability:
     @pytest.fixture(autouse=True)
     def clean_obs(self):
@@ -268,6 +286,53 @@ class TestObservability:
         assert metrics["serve.request_seconds"]["count"] == served
         hits = stats["decision_cache"]["hits"]
         assert metrics["serve.decision_cache_hits"]["value"] == hits
+        _assert_stats_match_metrics(stats, metrics)
+
+    def test_serve_counters_match_service_stats_over_socket(
+        self, service, train
+    ):
+        """Socket traffic: the stats and metrics ops read one store."""
+        import socket
+        import time
+
+        from repro.serve import SelectionServer
+
+        vec = train.feature_array[0].tolist()
+        server = SelectionServer(service, port=0).start()
+        try:
+            # A client that sends a predict and vanishes without reading.
+            dropped = socket.create_connection(server.address, timeout=10)
+            dropped.sendall((json.dumps(
+                {"op": "predict", "vector": vec}) + "\n").encode())
+            dropped.close()
+            sock = socket.create_connection(server.address, timeout=10)
+            with sock, sock.makefile("rw", encoding="utf-8") as fh:
+                def ask(line):
+                    fh.write(line + "\n")
+                    fh.flush()
+                    return json.loads(fh.readline())
+
+                for i in range(4):
+                    assert ask(json.dumps({"op": "predict", "id": f"s{i}",
+                                           "vector": vec}))["ok"]
+                times = {f: 1.0 + k for k, f in enumerate(train.formats)}
+                assert ask(json.dumps({"op": "feedback", "id": "s0",
+                                       "times": times}))["ok"]
+                assert ask("{not json")["ok"] is False
+                deadline = time.monotonic() + 10
+                while (service.telemetry.snapshot()["connections"]["active"]
+                       > 1 and time.monotonic() < deadline):
+                    time.sleep(0.01)
+                stats = ask(json.dumps({"op": "stats"}))["stats"]
+                metrics = ask(json.dumps({"op": "metrics"}))["metrics"]
+        finally:
+            server.shutdown()
+        assert stats["requests"] == 5
+        assert stats["protocol_errors"] == 1
+        assert stats["connections"]["total"] == 2
+        assert stats["connections"]["active"] == 1
+        assert stats["feedback"]["count"] == 1
+        _assert_stats_match_metrics(stats, metrics["metrics"])
 
     def test_mid_session_metrics_snapshot_is_consistent(self, service, train):
         from repro import obs

@@ -319,6 +319,32 @@ class TestThreads:
         assert snap["requests"] == 100
         assert snap["feedback"]["count"] == 100
 
+    def test_concurrent_regret_is_counted_exactly(self):
+        import sys
+
+        from repro.serve import FeedbackLog, ServiceTelemetry
+
+        telemetry = ServiceTelemetry(FeedbackLog())
+
+        def worker():
+            for _ in range(250):
+                telemetry.record_regret(0.5)
+
+        threads = [threading.Thread(target=worker) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        feedback = telemetry.snapshot()["feedback"]
+        assert feedback["count"] == 1000
+        assert feedback["regret_ewma"] == 0.5
+
 
 class TestSimulatorBackend:
     @pytest.fixture(scope="class")
