@@ -10,7 +10,7 @@ Subcommands cover the full workflow a downstream user needs:
 * ``campaign`` — the same measurement campaign with the full engine
   surfaced: parallel workers, per-matrix resume shards, a failure log
   and live progress output.
-* ``train``    — fit a format selector on a labeled dataset and pickle it.
+* ``train``    — fit a format selector on a labeled dataset and save it.
 * ``predict``  — load a trained selector and pick formats for ``.mtx``
   files.
 * ``table``    — regenerate one of the paper's tables/figures at the
@@ -44,7 +44,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import pickle
 import sys
 from pathlib import Path
 from typing import List, Optional
@@ -146,10 +145,12 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("set1", "set12", "set123", "imp"))
     p.add_argument("--keep-coo-best", action="store_true",
                    help="skip the paper's Sec. V-A COO-exclusion rule")
-    p.add_argument("--out", type=Path, required=True, help="output .pkl path")
+    p.add_argument("--out", type=Path, required=True,
+                   help="output selector artifact (.npz) path")
 
     p = sub.add_parser("predict", help="pick the best format for .mtx files")
-    p.add_argument("--model", type=Path, required=True, help=".pkl from 'train'")
+    p.add_argument("--model", type=Path, required=True,
+                   help="selector artifact from 'train'")
     p.add_argument("files", nargs="+", type=Path)
 
     p = sub.add_parser("table", help="regenerate a paper table/figure")
@@ -467,19 +468,18 @@ def _cmd_train(args) -> int:
     selector = FormatSelector(args.model, feature_set=args.feature_set)
     selector.fit(ds)
     acc = selector.score(ds)
-    with open(args.out, "wb") as fh:
-        pickle.dump(selector, fh)
+    selector.save(args.out)
     print(f"trained {args.model} on {len(ds)} matrices "
           f"(training accuracy {acc:.1%}); saved {args.out}")
     return 0
 
 
 def _cmd_predict(args) -> int:
+    from .core import FormatSelector
     from .features import FEATURE_SETS, extract_features, feature_vector
     from .matrices import read_matrix_market
 
-    with open(args.model, "rb") as fh:
-        selector = pickle.load(fh)
+    selector = FormatSelector.load(args.model)
     names = (
         FEATURE_SETS[selector.feature_set]
         if isinstance(selector.feature_set, str)
@@ -749,11 +749,7 @@ def _cmd_adapt(args) -> int:
             print(f"promoted {record.name}:{record.version} to production "
                   f"(reason: {args.reason})")
         else:  # rollback
-            previous = None
-            for entry in reversed(registry.promotion_history(args.name)):
-                if entry.get("action") in ("promote", "rollback"):
-                    previous = entry.get("previous")
-                    break
+            previous = registry.rollback_target(args.name)
             if previous is None:
                 print(f"error: no previous production version of "
                       f"{args.name!r} to roll back to", file=sys.stderr)

@@ -238,9 +238,7 @@ def _assemble(
     into its ``(N, F)`` result.
     """
     total_bytes = matrix_bytes + x_bytes + y_bytes
-    w = np.maximum(np.asarray(total_bytes, dtype=np.float64), 0.0)
-    utilization = w / (w + device.saturation_bytes)
-    bw = device.stream_bandwidth * efficiency * utilization
+    bw = device.stream_bandwidth * efficiency * device.utilization(total_bytes)
     mem_seconds = np.zeros(np.broadcast(total_bytes, bw).shape)
     with np.errstate(divide="ignore"):
         np.divide(total_bytes, bw, out=mem_seconds, where=total_bytes != 0)

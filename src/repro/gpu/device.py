@@ -31,6 +31,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Dict
 
+import numpy as np
+
 __all__ = [
     "DeviceSpec",
     "KEPLER_K40C",
@@ -157,15 +159,16 @@ class DeviceSpec:
         """Threads resident at full occupancy (2048/SM on these parts)."""
         return self.n_sm * 2048
 
-    def utilization(self, work_bytes: float) -> float:
+    def utilization(self, work_bytes):
         """DRAM utilisation reached by a kernel streaming ``work_bytes``.
 
         Small kernels cannot cover the memory latency with enough
         in-flight requests; utilisation follows a saturating curve
         ``w / (w + saturation_bytes)`` which reproduces the GFLOPS-vs-nnz
-        ramp of real SpMV measurements.
+        ramp of real SpMV measurements.  ``work_bytes`` may be a scalar
+        or an array; the curve applies elementwise.
         """
-        w = max(float(work_bytes), 0.0)
+        w = np.maximum(np.asarray(work_bytes, dtype=np.float64), 0.0)
         return w / (w + self.saturation_bytes)
 
     def with_overrides(self, **kwargs) -> "DeviceSpec":

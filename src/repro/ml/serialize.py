@@ -517,7 +517,10 @@ def _write_npz(path, structure: Any, arrays: Dict[str, np.ndarray],
                schema: str) -> None:
     index, pools = _pack(arrays)
     header = json.dumps({"schema": schema, "root": structure, "index": index})
-    np.savez_compressed(path, __state__=np.array(header), **pools)
+    # Through a handle: given a path, numpy appends ".npz" when it lacks
+    # that suffix, and the artifact would not be where the caller looks.
+    with open(path, "wb") as fh:
+        np.savez_compressed(fh, __state__=np.array(header), **pools)
 
 
 def _read_npz(path, schema: str) -> Tuple[Any, Dict[str, np.ndarray]]:

@@ -115,6 +115,7 @@ _lock = threading.Lock()
 _spans = SpanRecorder()
 _metrics = MetricsRegistry()
 _sink = None  # JsonLinesSink | callable | None
+_sink_owned = False  # _sink is a JsonLinesSink obs built from a path
 
 
 # ---------------------------------------------------------------------------
@@ -158,15 +159,21 @@ def reset() -> None:
 
 
 def _set_sink_locked(sink) -> None:
-    global _sink
-    if sink is None or callable(sink) or isinstance(sink, JsonLinesSink):
-        _sink = sink
-    else:
-        _sink = JsonLinesSink(sink)
+    global _sink, _sink_owned
+    if _sink_owned:
+        _sink.close()  # obs opened its file, so obs closes it
+    _sink_owned = not (
+        sink is None or callable(sink) or isinstance(sink, JsonLinesSink)
+    )
+    _sink = JsonLinesSink(sink) if _sink_owned else sink
 
 
 def set_sink(sink) -> None:
-    """Attach (or with ``None`` detach) the process-wide event sink."""
+    """Attach (or with ``None`` detach) the process-wide event sink.
+
+    A sink obs built from a path is closed when it is replaced or
+    detached; a sink object the caller passed stays the caller's.
+    """
     with _lock:
         _set_sink_locked(sink)
 

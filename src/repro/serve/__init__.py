@@ -24,7 +24,7 @@ from .adaptive import (
     ShadowScoreboard,
 )
 from .batcher import MicroBatcher, QueueFull
-from .daemon import handle_request, resolve_predict_item, serve_jsonl
+from .daemon import handle_line, handle_request, serve_jsonl
 from .feedback import FeedbackEvent, FeedbackLog
 from .registry import ARTIFACT_SCHEMA, ModelRecord, ModelRegistry, RegistryError
 from .server import SelectionServer
@@ -51,7 +51,7 @@ __all__ = [
     "SelectionServer",
     "SelectionService",
     "ServiceTelemetry",
+    "handle_line",
     "handle_request",
-    "resolve_predict_item",
     "serve_jsonl",
 ]

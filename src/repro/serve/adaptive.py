@@ -403,8 +403,15 @@ class DriftMonitor:
         self._ref_sigma: Optional[np.ndarray] = None
         self._feature_shift = 0.0
         self._alarmed = False
-        self.n_alarms = 0
+        #: Rising-edge alarm count; a controller publishes this counter
+        #: as ``serve.adaptive.drift.alarms``.
+        self.alarms = obs.Counter("serve.adaptive.drift.alarms")
         self.n_observations = 0
+
+    @property
+    def n_alarms(self) -> int:
+        """Rising-edge alarms raised so far."""
+        return int(self.alarms.value)
 
     def _freeze_reference(self) -> None:
         ref = np.stack(self._reference)
@@ -445,7 +452,7 @@ class DriftMonitor:
             rising = alarmed and not self._alarmed
             self._alarmed = alarmed
             if rising:
-                self.n_alarms += 1
+                self.alarms.inc()
             return rising
 
     def reset(self) -> None:
@@ -598,7 +605,7 @@ class AdaptiveController:
         self._m_prod_regret = _published(obs.Gauge, "production_regret_mean")
         self._m_shift = _published(obs.Gauge, "drift.feature_shift")
         self._m_ph = _published(obs.Gauge, "drift.regret_ph")
-        self._m_alarms = _published(obs.Counter, "drift.alarms")
+        obs.get_metrics().publish(self.drift.alarms)
         self._m_shadow_seconds = _published(obs.Histogram, "shadow_seconds")
         service.attach_adaptive(self)
 
@@ -716,7 +723,6 @@ class AdaptiveController:
         self._m_buffer.set(len(self.buffer))
 
         if self.drift.update(features=vec17, regret=event.regret):
-            self._m_alarms.inc()
             with self._lock:
                 self._drift_pending = True
         snap = self.drift.snapshot()
@@ -923,11 +929,7 @@ class AdaptiveController:
         """Revert production to the version it pointed at before the
         latest promotion, and serve it immediately."""
         with self._lock:
-            previous = None
-            for entry in reversed(self.registry.promotion_history(self.model_name)):
-                if entry.get("action") in ("promote", "rollback"):
-                    previous = entry.get("previous")
-                    break
+            previous = self.registry.rollback_target(self.model_name)
             if previous is None:
                 raise AdaptiveError(
                     f"no previous production version of {self.model_name!r} "

@@ -7,9 +7,8 @@ a pipe, a socket wrapper or a test's ``StringIO``.  Operations:
     One of ``"path"`` (a ``.mtx`` file), ``"features"`` (dict of the 17
     canonical features) or ``"vector"`` (ordered feature list).  An
     optional ``"id"`` names the request for later feedback.  Response:
-    ``{"ok": true, "id": ..., "format": ..., "config": {...},
-    "latency_ms": ...}`` — ``format`` is the base format name (legacy
-    clients), ``config`` the full tuning configuration
+    ``{"ok": true, "id": ..., "config": {...}, "latency_ms": ...}`` —
+    ``config`` is the decision, a tuning configuration
     (``{"format": ..., "params": {...}, "key": ...}``).
 
 ``{"op": "feedback", "id": ..., "times": {key: seconds}}``
@@ -17,7 +16,7 @@ a pipe, a socket wrapper or a test's ``StringIO``.  Operations:
     decision, keyed by configuration key.  Include ``"chosen"`` (or the
     ``"config"`` alias) for ids outside the recent window — a
     configuration key (a bare format name is its default
-    configuration's key) or object.
+    configuration's key) or object; anything else is an error response.
 
 ``{"op": "stats"}``
     Telemetry snapshot (lifetime latency percentiles, throughput, cache
@@ -51,6 +50,12 @@ a pipe, a socket wrapper or a test's ``StringIO``.  Operations:
 Every error is a ``{"ok": false, "error": ...}`` response; malformed
 input never kills the daemon.
 
+:func:`handle_line` is the one wire path, from a raw request line to
+the encoded response line: :func:`serve_jsonl` runs it over a stream,
+and :class:`~repro.serve.server.SelectionServer` runs it per socket
+connection, supplying only how a predict runs (through its
+micro-batcher; a full queue is the ``busy`` error response).
+
 With ``serve_jsonl(..., snapshot_every=N)`` the loop additionally
 emits a full observability snapshot to the :mod:`repro.obs` event sink
 every ``N`` served requests — a flight recorder for long-lived
@@ -60,20 +65,20 @@ daemons.
 from __future__ import annotations
 
 import json
-from typing import Dict, IO, Iterable, Optional
+from typing import Callable, Dict, IO, Iterable, Optional, Tuple
 
 from .. import obs
+from .batcher import QueueFull
 from .service import SelectionService
 
-__all__ = ["handle_request", "resolve_predict_item", "serve_jsonl"]
+__all__ = ["handle_line", "handle_request", "serve_jsonl"]
 
 
-def resolve_predict_item(request: Dict):
+def _resolve_predict_item(request: Dict):
     """Extract the to-be-predicted item from a ``predict`` request.
 
-    Shared by the stdio loop and the socket server's micro-batching
-    path: exactly one of ``path`` (read as Matrix Market),
-    ``features`` (dict) or ``vector`` (ordered list) must be present.
+    Exactly one of ``path`` (read as Matrix Market), ``features``
+    (dict) or ``vector`` (ordered list) must be present.
     """
     sources = [k for k in ("path", "features", "vector") if k in request]
     if len(sources) != 1:
@@ -90,14 +95,28 @@ def resolve_predict_item(request: Dict):
     return request["vector"]
 
 
-def handle_request(service: SelectionService, request: Dict) -> Dict:
-    """Execute one protocol request; always returns a response dict."""
+def handle_request(
+    service: SelectionService, request: Dict, predict: Optional[Callable] = None
+) -> Dict:
+    """Execute one protocol request; always returns a response dict.
+
+    ``predict(item, request_id=...)`` replaces ``service.predict`` for
+    ``predict`` ops (the socket server's micro-batcher); a
+    :class:`~repro.serve.batcher.QueueFull` it raises is the ``busy``
+    error response.
+    """
     try:
         if not isinstance(request, dict):
             raise ValueError("request must be a JSON object")
         op = request.get("op", "predict")
         if op == "predict":
-            return _handle_predict(service, request)
+            item = _resolve_predict_item(request)
+            decision = (predict or service.predict)(
+                item, request_id=request.get("id")
+            )
+            response = decision.to_dict()
+            response["ok"] = True
+            return response
         if op == "feedback":
             chosen = request.get("chosen")
             if chosen is None:
@@ -148,8 +167,33 @@ def handle_request(service: SelectionService, request: Dict) -> Dict:
         if op == "shutdown":
             return {"ok": True, "shutdown": True}
         raise ValueError(f"unknown op {op!r}")
+    except QueueFull as exc:
+        return {"ok": False, "busy": True, "error": f"server overloaded: {exc}"}
     except Exception as exc:  # protocol boundary: report, don't crash
         return {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
+
+
+def handle_line(
+    service: SelectionService, line: str, predict: Optional[Callable] = None
+) -> Tuple[Dict, str, bool]:
+    """Answer one non-blank request line: ``(response, encoded, served)``.
+
+    ``encoded`` is the response's JSON line, newline included.  A line
+    that is not JSON gets an error response and counts as a protocol
+    error (``served`` false) instead of a served request.  ``predict``
+    goes to :func:`handle_request`.
+    """
+    with obs.span("serve.request"):
+        try:
+            request = json.loads(line)
+        except ValueError as exc:
+            service.telemetry.record_protocol_error()
+            response = {"ok": False, "error": f"invalid JSON: {exc}"}
+            served = False
+        else:
+            response = handle_request(service, request, predict)
+            served = True
+        return response, json.dumps(response) + "\n", served
 
 
 def _adaptive_of(service: SelectionService):
@@ -160,14 +204,6 @@ def _adaptive_of(service: SelectionService):
             "--adaptive (or attach an AdaptiveController to the service)"
         )
     return controller
-
-
-def _handle_predict(service: SelectionService, request: Dict) -> Dict:
-    item = resolve_predict_item(request)
-    decision = service.predict(item, request_id=request.get("id"))
-    response = decision.to_dict()
-    response["ok"] = True
-    return response
 
 
 def serve_jsonl(
@@ -201,24 +237,13 @@ def serve_jsonl(
             line = line.strip()
             if not line:
                 continue
-            # Every handled line is spanned — including protocol errors,
-            # which previously escaped the serve.request span entirely.
-            handled = False
-            with obs.span("serve.request"):
-                try:
-                    request = json.loads(line)
-                except ValueError as exc:
-                    response = {"ok": False, "error": f"invalid JSON: {exc}"}
-                    service.telemetry.record_protocol_error()
-                else:
-                    response = handle_request(service, request)
-                    handled = True
-                    served += 1
-            out.write(json.dumps(response) + "\n")
+            response, encoded, handled = handle_line(service, line)
+            out.write(encoded)
             out.flush()
-            if (snapshot_every is not None and handled
-                    and served % snapshot_every == 0):
-                obs.emit("serve.snapshot", obs.snapshot())
+            if handled:
+                served += 1
+                if snapshot_every is not None and served % snapshot_every == 0:
+                    obs.emit("serve.snapshot", obs.snapshot())
             if response.get("shutdown"):
                 break
             if max_requests is not None and served >= max_requests:

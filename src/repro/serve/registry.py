@@ -431,3 +431,11 @@ class ModelRegistry:
             if isinstance(entry, dict):
                 entries.append(entry)
         return entries
+
+    def rollback_target(self, name: str) -> Optional[str]:
+        """The version production pointed at before its latest move
+        (promotion or rollback), or ``None`` when there is none."""
+        for entry in reversed(self.promotion_history(name)):
+            if entry.get("action") in ("promote", "rollback"):
+                return entry.get("previous")
+        return None

@@ -31,31 +31,26 @@ Design points (all load-bearing under concurrency):
   disconnected) in :class:`~repro.serve.telemetry.ServiceTelemetry`,
   so ``stats`` responses and ``repro-spmv obs`` agree about traffic.
 
-Protocol additions over the stdio daemon: a ``busy`` error response
-under overload, and ``{"op": "shutdown"}`` initiating a *server-wide*
-graceful drain (the acknowledging client gets its response first).
+Each line goes through :func:`repro.serve.daemon.handle_line`, the
+stdio daemon's own wire path; the server supplies only how a
+``predict`` runs (through the micro-batcher).  Protocol additions over
+the stdio daemon: a ``busy`` error response under overload, and
+``{"op": "shutdown"}`` initiating a *server-wide* graceful drain (the
+acknowledging client gets its response first).
 """
 
 from __future__ import annotations
 
-import json
 import socket
 import threading
-from typing import Dict, Optional, Tuple
+from typing import Iterator, Optional, Tuple
 
 from .. import obs
-from .batcher import MicroBatcher, QueueFull
-from .daemon import handle_request, resolve_predict_item
+from .batcher import MicroBatcher
+from .daemon import handle_line
 from .service import SelectionService
 
 __all__ = ["SelectionServer"]
-
-#: Response sent when the request queue is at capacity.
-BUSY_RESPONSE = {
-    "ok": False,
-    "busy": True,
-    "error": "server overloaded: request queue full, retry later",
-}
 
 
 class _LineReader:
@@ -156,7 +151,6 @@ class SelectionServer:
         self._started = False
         self._draining = threading.Event()
         self._stopped = threading.Event()
-        self._shutdown_requested = threading.Event()
         self._shutdown_lock = threading.Lock()
 
     # -- lifecycle ---------------------------------------------------------
@@ -256,30 +250,21 @@ class SelectionServer:
         disconnected = False
         try:
             with obs.span("serve.connection"):
-                reader = _LineReader(conn)
-                draining_exit = False
-                while True:
-                    if self._draining.is_set():
-                        draining_exit = True
-                        break
-                    line = reader.readline()
-                    if line is None:
-                        continue  # poll wakeup; re-check drain flag
-                    if line == "":
-                        break  # peer closed
+                for line in self._read_lines(_LineReader(conn)):
                     line = line.strip()
                     if not line:
                         continue
-                    response = self._handle_line(line)
+                    response, encoded, _ = handle_line(
+                        self.service, line, self._predict
+                    )
                     try:
-                        conn.sendall((json.dumps(response) + "\n").encode("utf-8"))
+                        conn.sendall(encoded.encode("utf-8"))
                     except OSError:
                         # Peer vanished before reading its response; the
                         # request itself completed — nothing to unwind.
                         disconnected = True
                         break
                     if response.get("shutdown"):
-                        self._shutdown_requested.set()
                         # Drain from a helper thread so the server stops
                         # even when nobody is blocked in serve_forever().
                         threading.Thread(
@@ -287,22 +272,6 @@ class SelectionServer:
                             daemon=True,
                         ).start()
                         break
-                if draining_exit:
-                    # Final pass: requests the client sent before the
-                    # drain began are in flight — serve them all, so a
-                    # graceful shutdown drops zero admitted requests.
-                    for line in reader.pending_lines():
-                        line = line.strip()
-                        if not line:
-                            continue
-                        response = self._handle_line(line)
-                        try:
-                            conn.sendall(
-                                (json.dumps(response) + "\n").encode("utf-8")
-                            )
-                        except OSError:
-                            disconnected = True
-                            break
         finally:
             telemetry.record_connection_close(disconnected=disconnected)
             try:
@@ -312,38 +281,26 @@ class SelectionServer:
             with self._conn_lock:
                 self._connections.discard(threading.current_thread())
 
-    # -- request handling ---------------------------------------------------
+    def _read_lines(self, reader: _LineReader) -> Iterator[str]:
+        """Yield the peer's lines until it closes or a drain begins.
 
-    def _handle_line(self, line: str) -> Dict:
-        with obs.span("serve.request"):
-            try:
-                request = json.loads(line)
-            except ValueError as exc:
-                self.service.telemetry.record_protocol_error()
-                return {"ok": False, "error": f"invalid JSON: {exc}"}
-            if isinstance(request, dict) and request.get("op", "predict") == "predict":
-                return self._handle_predict(request)
-            # Everything else is cheap and lock-protected — handled
-            # inline by the same code path as the stdio daemon.
-            return handle_request(self.service, request)
+        Once a drain begins, the lines the client sent before it are in
+        flight: they are yielded too, so a graceful shutdown drops zero
+        admitted requests.
+        """
+        while not self._draining.is_set():
+            line = reader.readline()
+            if line is None:
+                continue  # poll wakeup; re-check drain flag
+            if line == "":
+                return  # peer closed
+            yield line
+        yield from reader.pending_lines()
 
-    def _handle_predict(self, request: Dict) -> Dict:
-        try:
-            item = resolve_predict_item(request)
-        except Exception as exc:
-            return {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
-        try:
-            future = self._batcher.submit(item, request.get("id"))
-        except QueueFull as exc:
-            response = dict(BUSY_RESPONSE)
-            response["error"] = f"server overloaded: {exc}"
-            return response
-        except RuntimeError as exc:  # batcher closed mid-drain
-            return {"ok": False, "error": f"RuntimeError: {exc}"}
-        try:
-            decision = future.result()
-        except Exception as exc:
-            return {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
-        response = decision.to_dict()
-        response["ok"] = True
-        return response
+    def _predict(self, item, request_id: Optional[str] = None):
+        """Run one predict through the shared micro-batcher.
+
+        Raises :class:`~repro.serve.batcher.QueueFull` when its queue
+        is at capacity, which the wire path answers as ``busy``.
+        """
+        return self._batcher.submit(item, request_id).result()

@@ -16,6 +16,11 @@ models behind one request/response surface:
 * **caching** — bounded LRU feature and decision caches keyed on the
   matrix structure digest / vector bytes, so a resubmitted matrix skips
   both the O(nnz) scan and the model;
+* **configurations** — every decision is a
+  :class:`~repro.tuning.Configuration` (format plus kernel parameters)
+  from the models' vocabulary of configuration keys;
+  :meth:`Decision.to_dict` is its wire form, with the decision under
+  ``config`` only;
 * **online loop** — :meth:`record_feedback` ties observed execution
   times back to served decisions, updating regret telemetry.
 
@@ -57,8 +62,7 @@ class Decision:
     ``chosen`` is the configuration *key* from the serving vocabulary
     (a bare format name for all-default configurations, ``"fmt?..."``
     otherwise); ``config`` is the same decision as a full
-    :class:`~repro.tuning.Configuration` (``None`` only when the vocab
-    entry is not a parseable configuration, e.g. a custom format name).
+    :class:`~repro.tuning.Configuration`.
     """
 
     request_id: str
@@ -66,44 +70,34 @@ class Decision:
     chosen_index: int                       #: index into ``formats``
     formats: Tuple[str, ...]                #: configuration-key vocabulary
     mode: str                               #: strategy that produced it
+    config: tuning.Configuration            #: ``chosen`` as a configuration
     predicted_times: Optional[Dict[str, float]] = None  #: regressor output
     direct_choice: Optional[str] = None     #: classifier pick (hybrid only)
     cached: bool = False                    #: served from the decision cache
     latency_ms: float = 0.0                 #: this request's share of batch
                                             #: time (cache hits pay only the
                                             #: overhead share, not model time)
-    config: Optional[tuning.Configuration] = None  #: full configuration
     meta: Dict = field(default_factory=dict, compare=False)
 
     def to_dict(self) -> Dict:
         """JSON-able view (what the daemon returns on the wire).
 
-        Carries both keys for the deprecation cycle: ``format`` stays
-        the *base* format name legacy clients expect, ``config`` is the
-        full configuration (format + resolved params + key).
+        The decision travels only as ``config``: the format, its
+        resolved kernel parameters and the configuration key.
         """
         out = {
             "id": self.request_id,
-            "format": self.config.format if self.config is not None else self.chosen,
+            "config": self.config.as_dict(),
             "format_index": self.chosen_index,
             "mode": self.mode,
             "cached": self.cached,
             "latency_ms": self.latency_ms,
         }
-        if self.config is not None:
-            out["config"] = self.config.as_dict()
         if self.predicted_times is not None:
             out["predicted_times"] = self.predicted_times
         if self.direct_choice is not None:
             out["direct_choice"] = self.direct_choice
         return out
-
-
-def _parse_config(key: str) -> Optional[tuning.Configuration]:
-    try:
-        return tuning.Configuration.from_key(key)
-    except tuning.ConfigError:
-        return None
 
 
 class SelectionService:
@@ -146,6 +140,10 @@ class SelectionService:
         Bound on the recent-decision window :meth:`record_feedback`
         resolves request ids against, and on the feedback log (whose
         window the regret statistics of :meth:`stats` cover).
+
+    Every entry of the models' vocabulary must be a configuration key
+    (:meth:`repro.tuning.Configuration.from_key`); the constructor
+    raises ``ValueError`` naming the first entry that is not.
     """
 
     def __init__(
@@ -182,11 +180,16 @@ class SelectionService:
 
         self.formats = self._resolve_formats()
         # Parsed view of the vocabulary: the Configuration carried on
-        # each Decision (None for vocab entries that are not parseable
-        # configuration keys, e.g. custom format names).
-        self._format_configs = tuple(
-            _parse_config(key) for key in self.formats
-        )
+        # each Decision.
+        configs = []
+        for key in self.formats:
+            try:
+                configs.append(tuning.Configuration.from_key(key))
+            except tuning.ConfigError as exc:
+                raise ValueError(
+                    f"vocabulary entry {key!r} is not a configuration key: {exc}"
+                ) from exc
+        self._format_configs = tuple(configs)
         self._sel_names = feature_names(selector.feature_set) if selector else None
         self._pred_names = feature_names(predictor.feature_set) if predictor else None
 
@@ -655,7 +658,8 @@ class SelectionService:
         decisions that aged out of the window.  ``chosen`` accepts a
         :class:`~repro.tuning.Configuration`, a configuration mapping
         (``{"format": ..., "params": ...}``), or a configuration key (a
-        bare format name is its default configuration's key).  Returns the
+        bare format name is its default configuration's key); anything
+        else raises :class:`~repro.tuning.ConfigError`.  Returns the
         :class:`~repro.serve.feedback.FeedbackEvent`.
         """
         if chosen is None:
@@ -667,13 +671,7 @@ class SelectionService:
                 )
             chosen = decision.chosen
         else:
-            try:
-                chosen = tuning.coerce(chosen).key
-            except tuning.ConfigError:
-                # Custom vocabulary name outside the tuning grids: keep
-                # the legacy pass-through behaviour.
-                if not isinstance(chosen, str):
-                    raise
+            chosen = tuning.coerce(chosen).key
         event = self.feedback.record(str(request_id), chosen, observed)
         self.telemetry.record_regret(event.regret)
         adaptive = self._adaptive

@@ -1,7 +1,5 @@
 """Tests for the command-line interface (driven in-process)."""
 
-import pickle
-
 import numpy as np
 import pytest
 
@@ -14,7 +12,7 @@ def workspace(tmp_path_factory):
     root = tmp_path_factory.mktemp("cli")
     mtx_dir = root / "corpus"
     ds_path = root / "ds.npz"
-    model_path = root / "sel.pkl"
+    model_path = root / "sel.npz"
     assert main(["corpus", "--scale", "0.004", "--max-nnz", "20000",
                  "--out", str(mtx_dir)]) == 0
     assert main(["label", "--scale", "0.008", "--max-nnz", "50000",
@@ -61,11 +59,13 @@ class TestLabelTrainPredict:
         assert len(ds) > 5
         assert ds.precision == "single"
 
-    def test_model_pickle_roundtrip(self, workspace):
+    def test_model_artifact_roundtrip(self, workspace):
+        from repro.core import FormatSelector
+
         _, _, _, model_path = workspace
-        with open(model_path, "rb") as fh:
-            selector = pickle.load(fh)
+        selector = FormatSelector.load(model_path)
         assert selector.model_name == "decision_tree"
+        assert selector.feature_set == "set12"
 
     def test_predict_prints_formats(self, workspace, capsys):
         from repro.formats import FORMAT_NAMES

@@ -40,6 +40,17 @@ class TestFormatSelector:
         names = sel.predict_formats(test)
         assert all(n in train.formats for n in names)
 
+    def test_save_load_at_the_exact_path(self, split, tmp_path):
+        train, test = split
+        sel = FormatSelector("decision_tree").fit(train)
+        path = tmp_path / "sel.pkl"         # not an .npz suffix
+        sel.save(path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["sel.pkl"]
+        restored = FormatSelector.load(path)
+        np.testing.assert_array_equal(
+            restored.predict_formats(test), sel.predict_formats(test)
+        )
+
     def test_fit_on_raw_arrays(self, rng):
         X = rng.standard_normal((80, 4))
         y = (X[:, 0] > 0).astype(int)

@@ -1,5 +1,6 @@
 """Tests for the device descriptors."""
 
+import numpy as np
 import pytest
 
 from repro.gpu import DEVICES, DeviceSpec, KEPLER_K40C, PASCAL_P100
@@ -46,6 +47,10 @@ class TestDerived:
         assert all(b >= a for a, b in zip(values, values[1:]))
         assert values[-1] <= 1.0
         assert dev.utilization(dev.saturation_bytes) == pytest.approx(0.5)
+        # Elementwise over arrays, bit for bit the scalar curve.
+        grid = np.array([[0, 1e4, 1e6], [1e8, 1e12, -5.0]])
+        expect = [[dev.utilization(w) for w in row] for row in grid.tolist()]
+        np.testing.assert_array_equal(dev.utilization(grid), expect)
 
     def test_with_overrides(self):
         tweaked = KEPLER_K40C.with_overrides(mem_bw_gbps=500.0)

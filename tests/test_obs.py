@@ -1,9 +1,11 @@
 """repro.obs: spans, metrics, exporters, and the disabled fast path."""
 
+import gc
 import io
 import json
 import threading
 import time
+import warnings
 
 import pytest
 
@@ -215,12 +217,29 @@ class TestExporters:
 
     def test_jsonl_sink_to_path(self, tmp_path):
         path = tmp_path / "events.jsonl"
-        obs.enable(sink=JsonLinesSink(path))
-        obs.emit("e1", {})
-        obs.emit("e2", {"k": 1})
+        with JsonLinesSink(path) as sink:
+            obs.enable(sink=sink)
+            obs.emit("e1", {})
+            obs.emit("e2", {"k": 1})
+            obs.set_sink(None)  # the caller's sink: the caller closes it
         obs.disable(reset=True)
         events = [json.loads(l) for l in path.read_text().splitlines()]
         assert [e["event"] for e in events] == ["e1", "e2"]
+
+    def test_path_sinks_closed_when_replaced_or_detached(self, tmp_path):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            obs.enable(sink=tmp_path / "a.jsonl")
+            obs.emit("e1", {})
+            obs.set_sink(tmp_path / "b.jsonl")   # replaces the first
+            obs.emit("e2", {})
+            obs.set_sink(None)                   # detaches the second
+            gc.collect()
+        assert not [w for w in caught
+                    if issubclass(w.category, ResourceWarning)]
+        for name, event in (("a.jsonl", "e1"), ("b.jsonl", "e2")):
+            lines = (tmp_path / name).read_text().splitlines()
+            assert [json.loads(l)["event"] for l in lines] == [event]
 
     def test_check_snapshot_flags_violations(self):
         bad = {

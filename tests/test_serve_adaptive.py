@@ -256,6 +256,8 @@ class TestPromotionAudit:
         assert history[1]["stats"] == {"n_paired": 7}
         assert history[2]["version"] == "v0001"
         assert registry.production_version("sel") == "v0001"
+        # The version before the latest move: the rollback's previous.
+        assert registry.rollback_target("sel") == "v0002"
 
     def test_returned_record_carries_the_entry(self, toy, tmp_path):
         registry = ModelRegistry(tmp_path)
@@ -273,6 +275,7 @@ class TestPromotionAudit:
 
     def test_history_empty_without_file(self, tmp_path):
         assert ModelRegistry(tmp_path).promotion_history("sel") == []
+        assert ModelRegistry(tmp_path).rollback_target("sel") is None
 
 
 # ---------------------------------------------------------------------------
@@ -462,6 +465,11 @@ class TestAdaptiveLoop:
         # The obs gauge mirrors the detector.
         gauge = obs.gauge("serve.adaptive.drift.feature_shift")
         assert gauge.value > 3.0
+        # One store for the alarm count: the published counter is the
+        # monitor's own.
+        published = obs.get_metrics().get("serve.adaptive.drift.alarms")
+        assert published is controller.drift.alarms
+        assert published.value == status["alarms"]
 
     def test_adopt_selector_validates_vocabulary(self, rig, mini_dataset):
         _, _, service = rig

@@ -41,7 +41,7 @@ class TestProtocol:
         )
         assert response["ok"] is True
         assert response["id"] == "q1"
-        assert response["format"] in train.formats
+        assert response["config"]["key"] in train.formats
         assert response["latency_ms"] >= 0
 
     def test_predict_vector(self, service, train):
@@ -60,7 +60,7 @@ class TestProtocol:
             service, {"op": "predict", "path": str(path)}
         )
         assert response["ok"] is True
-        assert response["format"] in train.formats
+        assert response["config"]["key"] in train.formats
 
     def test_predict_source_validation(self, service):
         assert handle_request(service, {"op": "predict"})["ok"] is False
@@ -77,7 +77,7 @@ class TestProtocol:
              "features": extract_features(matrices[0])},
         )
         observed = {f: 1.0 for f in train.formats}
-        observed[predict["format"]] = 1.5
+        observed[predict["config"]["key"]] = 1.5
         feedback = handle_request(
             service, {"op": "feedback", "id": "f1", "times": observed}
         )
@@ -413,11 +413,20 @@ class TestConfigProtocol:
         )
         assert response["ok"] is True
         config = response["config"]
-        # "format" stays the bare base name for legacy clients; the
-        # structured configuration round-trips through its key.
-        assert response["format"] == config["format"]
+        # The decision travels only as "config", which round-trips
+        # through its key.
+        assert "format" not in response
         parsed = tuning.Configuration.from_key(config["key"])
         assert parsed.as_dict() == config
+
+    def test_feedback_with_unparseable_chosen_is_an_error(self, service):
+        response = handle_request(
+            service,
+            {"op": "feedback", "id": "x", "times": {"csr": 1.0},
+             "chosen": "my_format"},
+        )
+        assert response["ok"] is False
+        assert response["error"].startswith("ConfigError:")
 
     def test_feedback_accepts_config_alias(self, service, train):
         times = {f: 1.0 for f in train.formats}

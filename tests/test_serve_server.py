@@ -206,7 +206,7 @@ class TestConcurrentServing:
                 assert response["ok"] is True
                 assert response["id"] == f"c{c}-{j}"
                 row = rows[(c * per_client + j) % len(rows)]
-                assert response["format"] == selector.predict_formats(
+                assert response["config"]["key"] == selector.predict_formats(
                     np.asarray(row)
                 )[0]
         snap = service.telemetry.snapshot()
@@ -379,8 +379,9 @@ class TestConcurrentServing:
                     daemon_service,
                     {"op": "predict", "vector": vec, "id": "fp-1"},
                 )
-                other = "coo" if predicted["format"] != "coo" else "csr"
-                observed = {predicted["format"]: 2.0, other: 1.0}
+                chosen = predicted["config"]["key"]
+                other = "coo" if chosen != "coo" else "csr"
+                observed = {chosen: 2.0, other: 1.0}
                 request = {"op": "feedback", "id": "fp-1", "times": observed}
                 via_socket = _roundtrip(fh, request)
                 via_daemon = handle_request(daemon_service, dict(request))
@@ -402,7 +403,7 @@ class TestConcurrentServing:
                 )
                 assert stats["stats"]["service"]["feedback"][
                     "chosen_distribution"
-                ] == {predicted["format"]: 1}
+                ] == {chosen: 1}
         finally:
             server.shutdown()
 
@@ -463,6 +464,54 @@ class TestConcurrentServing:
             server.start()
         server.shutdown()
         server.shutdown()        # idempotent
+
+
+class TestOneWirePath:
+    """The stdio daemon and the socket server answer one line sequence
+    alike: both run the same line handler."""
+
+    def test_stdio_and_socket_responses_are_equal(self, selector, train):
+        import io
+
+        from repro.serve import serve_jsonl
+
+        vec = train.feature_array[0].tolist()
+        chosen = selector.predict_formats(np.asarray(vec))[0]
+        other = "coo" if chosen != "coo" else "csr"
+        lines = [
+            json.dumps({"op": "predict", "vector": vec, "id": "w1"}),
+            json.dumps({"op": "feedback", "id": "w1",
+                        "times": {chosen: 2.0, other: 1.0}}),
+            json.dumps({"op": "levitate"}),
+            json.dumps({"op": "predict", "id": "w2"}),
+            json.dumps([1, 2, 3]),
+            "{not json",
+        ]
+        out = io.StringIO()
+        serve_jsonl(SelectionService(selector), lines, out)
+        via_stdio = [json.loads(text) for text in out.getvalue().splitlines()]
+
+        server = SelectionServer(SelectionService(selector), port=0).start()
+        try:
+            sock, fh = _connect(server.address)
+            with sock:
+                via_socket = []
+                for line in lines:
+                    fh.write(line + "\n")
+                    fh.flush()
+                    via_socket.append(json.loads(fh.readline()))
+        finally:
+            server.shutdown()
+
+        for responses in (via_stdio, via_socket):
+            assert [r["ok"] for r in responses] == [True, True] + [False] * 4
+            # One key per decision on the wire: "config", never "format".
+            assert "format" not in responses[0]
+            assert responses[0]["config"]["key"] == chosen
+            assert responses[1]["regret"] == pytest.approx(1.0)
+            assert "invalid JSON" in responses[5]["error"]
+            responses[0].pop("latency_ms")
+        assert via_socket == via_stdio
 
 
 class TestDrainUnderFeedback:

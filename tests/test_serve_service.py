@@ -49,6 +49,14 @@ class TestConstruction:
         with pytest.raises(ValueError, match="dataset-fitted"):
             SelectionService(FormatSelector("decision_tree"))
 
+    def test_vocabulary_must_be_configuration_keys(self, selector):
+        import copy
+
+        custom = copy.copy(selector)
+        custom.formats_ = ("csr", "my_format", "also_custom")
+        with pytest.raises(ValueError, match="'my_format'"):
+            SelectionService(custom)
+
     def test_from_registry_defaults_mode(self, selector, predictor, train, tmp_path):
         registry = ModelRegistry(tmp_path)
         registry.save(selector, "sel", dataset=train)
@@ -270,6 +278,16 @@ class TestFeedback:
         snap = service.telemetry.snapshot()
         assert snap["feedback"]["oracle_hit_rate"] == 1.0
 
+    def test_feedback_rejects_chosen_that_is_not_a_configuration(
+        self, selector
+    ):
+        from repro import tuning
+
+        service = SelectionService(selector)
+        with pytest.raises(tuning.ConfigError):
+            service.record_feedback("e", {"csr": 1.0}, chosen="my_format")
+        assert service.telemetry.snapshot()["feedback"]["count"] == 0
+
     def test_unknown_id_needs_chosen(self, selector, train):
         service = SelectionService(selector)
         observed = {f: 1.0 for f in train.formats}
@@ -443,9 +461,9 @@ class TestConfigurationDecisions:
         assert isinstance(decision.config, tuning.Configuration)
         assert decision.config.key == decision.chosen
         wire = decision.to_dict()
-        # Both keys for the deprecation cycle: "format" is the base
-        # format name, "config" the structured configuration.
-        assert wire["format"] == decision.config.format
+        # One key per decision: the structured configuration.
+        assert "format" not in wire
+        assert wire["config"]["format"] == decision.config.format
         assert wire["config"]["key"] == decision.chosen
         assert wire["config"]["params"] == dict(decision.config.resolved_params)
 
@@ -463,7 +481,7 @@ class TestConfigurationDecisions:
         assert service.formats == tuning.tuned_space()
         decision = service.predict(matrices[0])
         assert decision.config is not None
-        assert decision.to_dict()["format"] == decision.config.format
+        assert decision.to_dict()["config"]["format"] == decision.config.format
         assert tuning.Configuration.from_key(decision.chosen) == decision.config
 
     def test_decision_cache_keyed_by_vocabulary(self, simulator, matrices):
