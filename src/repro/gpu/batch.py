@@ -1,15 +1,19 @@
 """The SpMV kernel cost models, evaluated over batches of matrices.
 
 This module is the only place the cost physics lives.  Each format has
-one model ``(batch, device, precision, configs)`` that turns a
+one model ``(batch, device, precision, configs, gather)`` that turns a
 :class:`ProfileBatch` of N matrices plus a
 :class:`~repro.gpu.device.DeviceSpec`, a precision and K
 :class:`~repro.tuning.Configuration` objects of that format into cost
-arrays, decomposed into data movement, compute/reduction work,
-imbalance penalties and launch overhead, plus the format's device
-footprint.  The profile statistics enter as ``(N, 1)`` columns and the
-parameter values as ``(1, K)`` rows, so one call covers every
-configuration of a format.  Default parameters are just the default
+*terms* — data movement, compute/reduction work, imbalance penalties,
+launch overhead and the format's device footprint — one set per kernel
+(CSR has three).  The profile statistics enter as ``(N, 1)`` columns
+and the parameter values as ``(1, K)`` rows, so one call covers every
+configuration of a format.  :func:`estimate_batch` writes every
+kernel's terms into ``(N, F')`` blocks and turns them into costs with
+one :func:`_assemble` call per sweep; the x-gather traffic, shared by
+all formats but DIA, is computed once per sweep and handed to the
+models.  Default parameters are just the default
 configuration; the scalar entry points
 (:func:`~repro.gpu.kernels.estimate_time`, the executor's
 ``check_feasible``/``estimate``/``benchmark``) are batches of one.  The
@@ -45,11 +49,12 @@ the ML study.
 Entry points: :class:`ProfileBatch` (struct-of-arrays over
 :class:`~repro.gpu.profile.MatrixProfile` objects),
 :func:`estimate_batch` (N matrices × F formats or configuration keys,
-one model call per format, returning a :class:`CostBreakdownBatch` of
-``(N, F)`` arrays that includes the footprint behind the executor's
-memory check) and :func:`known_formats`.  The parsed configurations,
-their grouping by format and the column each lands in are planned once
-per tuple of keys and cached, so a repeated sweep parses no key.
+one model call per format and one assembly, returning a
+:class:`CostBreakdownBatch` of ``(N, F)`` arrays that includes the
+footprint behind the executor's memory check) and
+:func:`known_formats`.  The parsed configurations, their grouping by
+format and the column each lands in are planned once per tuple of keys
+and cached, so a repeated sweep parses no key.
 ``tests/test_cost_golden.py`` pins every output bit for bit against a
 recorded fixture.
 """
@@ -206,6 +211,29 @@ class ProfileBatch:
 # ---------------------------------------------------------------------------
 
 
+def _kernel(
+    *, matrix_bytes, x_bytes, y_bytes, efficiency, imbalance, compute_seconds,
+    footprint, launches: float, setup_us: float = 0.0, scale=None,
+) -> Dict[str, object]:
+    """One kernel's cost terms, as a model returns them (see
+    :data:`KERNEL_MODELS`).  ``launches`` and ``setup_us`` are constants;
+    ``scale`` is an optional factor on the assembled seconds (ELL's
+    chunking)."""
+    return locals()
+
+
+#: The array terms of :func:`_kernel`, written into ``(N, F')`` blocks.
+_BLOCK_TERMS = (
+    "matrix_bytes",
+    "x_bytes",
+    "y_bytes",
+    "efficiency",
+    "imbalance",
+    "compute_seconds",
+    "footprint",
+)
+
+
 def _assemble(
     batch: ProfileBatch,
     device: DeviceSpec,
@@ -216,8 +244,8 @@ def _assemble(
     efficiency,
     imbalance,
     compute_seconds,
-    launches: float,
-    setup_us: float = 0.0,
+    launches,
+    setup_us,
     footprint,
 ) -> Dict[str, np.ndarray]:
     """Combine traffic, compute and overhead into cost arrays.
@@ -233,9 +261,9 @@ def _assemble(
     out as ``inf``, which the scalar entry points report as
     ``ZeroDivisionError`` and the executor as a failure.
     ``footprint`` (the format's device bytes, vectors excluded) passes
-    through for the executor's memory check.  Each value is a scalar, an
-    ``(N, 1)`` column or an ``(N, K)`` array; the sweep broadcasts them
-    into its ``(N, F)`` result.
+    through for the executor's memory check.  The sweep calls this once
+    per pass: every term is an ``(N, F')`` block holding one column per
+    kernel, and ``launches``/``setup_us`` are ``(1, F')`` rows.
     """
     total_bytes = matrix_bytes + x_bytes + y_bytes
     bw = device.stream_bandwidth * efficiency * device.utilization(total_bytes)
@@ -250,10 +278,10 @@ def _assemble(
         "x_bytes": x_bytes,
         "y_bytes": y_bytes,
         "compute_seconds": compute_seconds,
-        "launch_seconds": launch_seconds,
+        "launch_seconds": np.broadcast_to(launch_seconds, seconds.shape),
         "imbalance": imbalance,
         "efficiency": efficiency,
-        "flops": 2.0 * batch.nnz,
+        "flops": np.broadcast_to(2.0 * batch.nnz, seconds.shape),
         "footprint": footprint,
     }
 
@@ -264,15 +292,18 @@ def _reduction_seconds(device: DeviceSpec, ops, cycles_per_op: float):
     return ops * cycles_per_op / throughput
 
 
-def _gather(
-    batch: ProfileBatch, device: DeviceSpec, precision: str, *, locality_penalty: float = 1.0
-) -> np.ndarray:
+def _gather(batch: ProfileBatch, device: DeviceSpec, precision: str) -> np.ndarray:
+    """The x-gather DRAM bytes at unit locality, computed once per sweep.
+
+    Models that visit rows out of order scale it by their locality
+    penalty: ``gather * 1.22`` equals the gather computed at penalty
+    1.22 bit for bit, since ``fetched * line * 1.0`` is exact.
+    """
     return gather_traffic_bytes_batch(
         batch.gather_unique[precision],
         batch.gather_fetches[precision],
         batch.nnz,
         device,
-        locality_penalty=locality_penalty,
     )
 
 
@@ -390,22 +421,19 @@ def _row(values) -> np.ndarray:
     return np.array([values])
 
 
-def _coo(batch: ProfileBatch, device: DeviceSpec, precision: str, configs: _Configs):
+def _coo(batch: ProfileBatch, device: DeviceSpec, precision: str, configs: _Configs, gather):
     v = _itemsize(precision)
     nnz = batch.nnz
     matrix_bytes = nnz * (2 * IDX + v)
-    x_bytes = _gather(batch, device, precision)
     # Segmented reduction updates y with atomics for segments crossing
     # thread-block boundaries: model as read-modify-write inflated by the
     # device's atomic efficiency.
     rows_touched = batch.n_rows - batch.empty_rows
     y_bytes = 2.0 * rows_touched * v / max(_atomic_efficiency(device, precision), 1e-3)
     compute = _reduction_seconds(device, nnz, cycles_per_op=4.0)
-    return _assemble(
-        batch,
-        device,
+    return (_kernel(
         matrix_bytes=matrix_bytes,
-        x_bytes=x_bytes,
+        x_bytes=gather,
         y_bytes=y_bytes,
         efficiency=0.58,  # interleaved carry handling costs replays
         imbalance=1.0,
@@ -413,15 +441,16 @@ def _coo(batch: ProfileBatch, device: DeviceSpec, precision: str, configs: _Conf
         launches=1,  # fused product + segmented-reduction kernel (CUSP style)
         setup_us=2.0,  # carry-buffer initialisation
         footprint=matrix_bytes,
-    )
+    ),)
 
 
-def _csr(batch: ProfileBatch, device: DeviceSpec, precision: str, configs: _Configs):
+def _csr(batch: ProfileBatch, device: DeviceSpec, precision: str, configs: _Configs, gather):
     """CSR: the fastest of the scalar, vector and row-packing kernels.
 
     ``lanes`` narrows the vector kernel: the lane waste on short rows
     shrinks proportionally, while coalescing efficiency drops and the
-    warp reduction shortens with ``log2``.
+    warp reduction shortens with ``log2``.  The sweep keeps the fastest
+    kernel per cell.
     """
     lanes = [config.param("lanes") for config in configs]
     for value in lanes:
@@ -431,17 +460,14 @@ def _csr(batch: ProfileBatch, device: DeviceSpec, precision: str, configs: _Conf
     nnz = batch.nnz
     rows = batch.n_rows
     matrix_bytes = nnz * (IDX + v) + (rows + 1) * IDX
-    x_bytes = _gather(batch, device, precision)
     y_bytes = rows * v
 
     # Scalar kernel: thread per row.  Column/value reads stride by row
     # length -> poor coalescing; 32-row warp groups serialize on their
     # longest member.
-    scalar = _assemble(
-        batch,
-        device,
+    scalar = _kernel(
         matrix_bytes=matrix_bytes,
-        x_bytes=x_bytes,
+        x_bytes=gather,
         y_bytes=y_bytes,
         efficiency=0.30,
         imbalance=1.0 + 0.8 * (batch.warp_divergence - 1.0),
@@ -454,11 +480,9 @@ def _csr(batch: ProfileBatch, device: DeviceSpec, precision: str, configs: _Conf
     # pays a warp-level reduction.
     frac = _row(lanes) / 32.0
     waste = 1.0 + (batch.vector_waste - 1.0) * frac
-    vector = _assemble(
-        batch,
-        device,
+    vector = _kernel(
         matrix_bytes=matrix_bytes,
-        x_bytes=x_bytes,
+        x_bytes=gather,
         y_bytes=y_bytes,
         efficiency=0.88 * (0.85 + 0.15 * frac),
         imbalance=1.0 + 0.45 * (waste - 1.0),
@@ -473,11 +497,9 @@ def _csr(batch: ProfileBatch, device: DeviceSpec, precision: str, configs: _Conf
     # price of per-row bookkeeping and a residual sensitivity to
     # row-length variance (a packed warp still waits for its longest
     # member).
-    packed = _assemble(
-        batch,
-        device,
+    packed = _kernel(
         matrix_bytes=matrix_bytes,
-        x_bytes=x_bytes,
+        x_bytes=gather,
         y_bytes=y_bytes,
         efficiency=0.82,
         imbalance=1.0 + 0.80 * np.minimum(batch.row_cv, 4.0),
@@ -485,19 +507,10 @@ def _csr(batch: ProfileBatch, device: DeviceSpec, precision: str, configs: _Conf
         launches=1,
         footprint=matrix_bytes,
     )
-    # Per-cell min over the three kernels; np.argmin keeps the first on
-    # ties.
-    stacked = np.stack(np.broadcast_arrays(
-        scalar["seconds"], vector["seconds"], packed["seconds"]
-    ))
-    choice = np.argmin(stacked, axis=0)
-    return {
-        field: np.choose(choice, [scalar[field], vector[field], packed[field]])
-        for field in scalar
-    }
+    return scalar, vector, packed
 
 
-def _ell(batch: ProfileBatch, device: DeviceSpec, precision: str, configs: _Configs):
+def _ell(batch: ProfileBatch, device: DeviceSpec, precision: str, configs: _Configs, gather):
     """ELL with ``rows_per_thread`` chunking (``width_cap`` only gates
     feasibility).
 
@@ -511,21 +524,7 @@ def _ell(batch: ProfileBatch, device: DeviceSpec, precision: str, configs: _Conf
             raise ConfigError(f"ell rows_per_thread must be >= 1, got {value}")
     v = _itemsize(precision)
     slots = batch.n_rows * batch.nnz_max  # padded plane size
-    # Perfectly regular column-major streaming: the padding bytes are in
-    # matrix_bytes already, so no further imbalance term is needed.
-    cols = _assemble(
-        batch,
-        device,
-        matrix_bytes=slots * (IDX + v),
-        x_bytes=_gather(batch, device, precision),
-        y_bytes=batch.n_rows * v,
-        efficiency=0.96,
-        imbalance=1.0,
-        compute_seconds=_reduction_seconds(device, slots.astype(np.float64), 0.8),
-        launches=1,
-        setup_us=1.5,  # column-major grid configuration
-        footprint=slots * (IDX + v),
-    )
+    factor = None
     if any(value != 1 for value in rpt):
         # One chunk factor per configuration; it is exactly 1.0 where
         # rows_per_thread is 1, so those columns keep their seconds.
@@ -533,11 +532,23 @@ def _ell(batch: ProfileBatch, device: DeviceSpec, precision: str, configs: _Conf
         factor = (
             1.0 + 0.07 * chunk * np.minimum(batch.row_cv, 2.0)
         ) * (1.0 - 0.04 * chunk)
-        cols["seconds"] = cols["seconds"] * factor
-    return cols
+    # Perfectly regular column-major streaming: the padding bytes are in
+    # matrix_bytes already, so no further imbalance term is needed.
+    return (_kernel(
+        matrix_bytes=slots * (IDX + v),
+        x_bytes=gather,
+        y_bytes=batch.n_rows * v,
+        efficiency=0.96,
+        imbalance=1.0,
+        compute_seconds=_reduction_seconds(device, slots.astype(np.float64), 0.8),
+        launches=1,
+        setup_us=1.5,  # column-major grid configuration
+        footprint=slots * (IDX + v),
+        scale=factor,
+    ),)
 
 
-def _hyb(batch: ProfileBatch, device: DeviceSpec, precision: str, configs: _Configs):
+def _hyb(batch: ProfileBatch, device: DeviceSpec, precision: str, configs: _Configs, gather):
     """HYB with the ELL/COO split at ``split`` x the mu threshold."""
     split = [config.param("split") for config in configs]
     for value in split:
@@ -547,7 +558,6 @@ def _hyb(batch: ProfileBatch, device: DeviceSpec, precision: str, configs: _Conf
     rows = batch.n_rows
     ell_slots, spill, spill_rows = _hyb_split_geometry(batch, _row(split))
     matrix_bytes = ell_slots * (IDX + v) + spill * (2 * IDX + v)
-    x_bytes = _gather(batch, device, precision)
     # ELL pass writes y once; the COO pass atomically updates only the
     # rows that actually spilled past the threshold.
     atomic_eff = _atomic_efficiency(device, precision)
@@ -557,11 +567,9 @@ def _hyb(batch: ProfileBatch, device: DeviceSpec, precision: str, configs: _Conf
     # pays the segmented-reduction efficiency.
     total_elems = np.maximum(ell_slots + spill, 1)
     efficiency = (0.96 * ell_slots + 0.88 * spill) / total_elems
-    return _assemble(
-        batch,
-        device,
+    return (_kernel(
         matrix_bytes=matrix_bytes,
-        x_bytes=x_bytes,
+        x_bytes=gather,
         y_bytes=y_bytes,
         efficiency=efficiency,
         imbalance=1.0,
@@ -569,10 +577,10 @@ def _hyb(batch: ProfileBatch, device: DeviceSpec, precision: str, configs: _Conf
         launches=2,
         setup_us=3.0,  # two dependent kernels: extra grid dispatch
         footprint=matrix_bytes,
-    )
+    ),)
 
 
-def _csr5(batch: ProfileBatch, device: DeviceSpec, precision: str, configs: _Configs):
+def _csr5(batch: ProfileBatch, device: DeviceSpec, precision: str, configs: _Configs, gather):
     v = _itemsize(precision)
     nnz = batch.nnz
     rows = batch.n_rows
@@ -585,16 +593,13 @@ def _csr5(batch: ProfileBatch, device: DeviceSpec, precision: str, configs: _Con
         + n_tiles * 2 * IDX          # y_offset / seg_offset words
         + nnz / 8.0                  # bit_flag, one bit per element
     )
-    # Tile transposition interleaves rows within a tile, trimming gather
-    # temporal locality slightly.
-    x_bytes = _gather(batch, device, precision, locality_penalty=1.22)
     y_bytes = rows * v + n_tiles * v  # partial sums for cross-tile rows
     compute = _reduction_seconds(device, nnz * 1.6 + n_tiles * 96.0, 1.0)
-    return _assemble(
-        batch,
-        device,
+    return (_kernel(
         matrix_bytes=matrix_bytes,
-        x_bytes=x_bytes,
+        # Tile transposition interleaves rows within a tile, trimming
+        # gather temporal locality slightly.
+        x_bytes=gather * 1.22,
         y_bytes=y_bytes,
         efficiency=0.94,
         imbalance=1.0,
@@ -602,10 +607,10 @@ def _csr5(batch: ProfileBatch, device: DeviceSpec, precision: str, configs: _Con
         launches=1,  # tile metadata is built at conversion; SpMV is one kernel
         setup_us=6.0,  # tile-scheduler bring-up + calibration epilogue
         footprint=nnz * (IDX + v) + (rows + 1) * IDX + nnz / 8.0,  # CSR + bit flags
-    )
+    ),)
 
 
-def _merge_csr(batch: ProfileBatch, device: DeviceSpec, precision: str, configs: _Configs):
+def _merge_csr(batch: ProfileBatch, device: DeviceSpec, precision: str, configs: _Configs, gather):
     v = _itemsize(precision)
     nnz = batch.nnz
     rows = batch.n_rows
@@ -617,15 +622,12 @@ def _merge_csr(batch: ProfileBatch, device: DeviceSpec, precision: str, configs:
         + (rows + 1) * IDX * 2       # row pointer read by search + run
         + partitions * 2 * IDX       # partition coordinates
     )
-    x_bytes = _gather(batch, device, precision)
     y_bytes = rows * v + partitions * 2.0 * v  # carry value+row per partition
     search_ops = partitions * (np.log2(rows + 1) + 1.0) * 4.0
     compute = _reduction_seconds(device, nnz * 1.3 + rows * 2.5 + search_ops, 1.0)
-    return _assemble(
-        batch,
-        device,
+    return (_kernel(
         matrix_bytes=matrix_bytes,
-        x_bytes=x_bytes,
+        x_bytes=gather,
         y_bytes=y_bytes,
         efficiency=0.93,
         imbalance=1.0,
@@ -633,10 +635,10 @@ def _merge_csr(batch: ProfileBatch, device: DeviceSpec, precision: str, configs:
         launches=1.5,  # partition-search kernel is tiny next to the SpMV
         setup_us=5.0,  # coordinate search + temp-storage bookkeeping
         footprint=nnz * (IDX + v) + (rows + 1) * IDX,  # plain CSR arrays
-    )
+    ),)
 
 
-def _dia(batch: ProfileBatch, device: DeviceSpec, precision: str, configs: _Configs):
+def _dia(batch: ProfileBatch, device: DeviceSpec, precision: str, configs: _Configs, gather):
     """DIA: pure diagonal streaming — no index array, shifted x reads."""
     v = _itemsize(precision)
     rows = batch.n_rows
@@ -647,24 +649,21 @@ def _dia(batch: ProfileBatch, device: DeviceSpec, precision: str, configs: _Conf
     x_size = batch.n_cols * v
     resident = np.minimum(1.0, (device.l2_bytes * 0.5) / np.maximum(x_size, 1.0))
     x_bytes = x_size + (1.0 - resident) * np.maximum(n_diags - 1, 0) * rows * v * 0.5
-    y_bytes = rows * v
     compute = _reduction_seconds(device, (n_diags * rows).astype(np.float64), 0.6)
-    return _assemble(
-        batch,
-        device,
+    return (_kernel(
         matrix_bytes=matrix_bytes,
         x_bytes=x_bytes,
-        y_bytes=y_bytes,
+        y_bytes=rows * v,
         efficiency=0.97,
         imbalance=1.0,
         compute_seconds=compute,
         launches=1,
         setup_us=0.5,
         footprint=matrix_bytes,
-    )
+    ),)
 
 
-def _bsr(batch: ProfileBatch, device: DeviceSpec, precision: str, configs: _Configs):
+def _bsr(batch: ProfileBatch, device: DeviceSpec, precision: str, configs: _Configs, gather):
     """BSR: dense-block streaming, one index per ``block_shape`` block."""
     shapes = [config.param("block_shape") for config in configs]
     for r, c in shapes:
@@ -677,37 +676,39 @@ def _bsr(batch: ProfileBatch, device: DeviceSpec, precision: str, configs: _Conf
     # Block values plus one column index per block; the block-row
     # pointer is streamed but not counted in the footprint.
     footprint = blocks * area * v + blocks * IDX
-    matrix_bytes = footprint + (n_brows + 1) * IDX
-    # The gather works at block granularity: whole c-wide x slices are
-    # read per block, which is kinder to cache lines than per-element
-    # gathers (model as a mild locality bonus on the standard estimate).
-    x_bytes = 0.9 * _gather(batch, device, precision)
-    y_bytes = batch.n_rows * v
     compute = _reduction_seconds(device, blocks * area * 1.0, 1.0)
-    return _assemble(
-        batch,
-        device,
-        matrix_bytes=matrix_bytes,
-        x_bytes=x_bytes,
-        y_bytes=y_bytes,
+    return (_kernel(
+        matrix_bytes=footprint + (n_brows + 1) * IDX,
+        # The gather works at block granularity: whole c-wide x slices
+        # are read per block, which is kinder to cache lines than
+        # per-element gathers (model as a mild locality bonus on the
+        # standard estimate).
+        x_bytes=0.9 * gather,
+        y_bytes=batch.n_rows * v,
         efficiency=0.94,
         imbalance=1.0,
         compute_seconds=compute,
         launches=1,
         setup_us=1.0,
         footprint=footprint,
-    )
+    ),)
 
 
 #: Registry: format name -> cost model
-#: ``(batch, device, precision, configs)``.  ``batch`` is the ``(N, 1)``
-#: column view (:meth:`ProfileBatch.columns`) and ``configs`` the K
-#: configurations of that format to evaluate; the model returns every
-#: ``CostBreakdownBatch`` field, footprint included, as arrays or
-#: scalars that broadcast to ``(N, K)``.
+#: ``(batch, device, precision, configs, gather)``.  ``batch`` is the
+#: ``(N, 1)`` column view (:meth:`ProfileBatch.columns`), ``configs``
+#: the K configurations of that format to evaluate and ``gather`` the
+#: ``(N, 1)`` x-gather bytes the sweep computes once.  The model returns
+#: its cost terms, not costs: one :func:`_kernel` dict per kernel (CSR
+#: has three), each term a scalar or an array that broadcasts to
+#: ``(N, K)``.  :func:`estimate_batch` assembles every kernel of the
+#: sweep in one :func:`_assemble` call.
 KERNEL_MODELS: Dict[
     str,
-    Callable[[ProfileBatch, DeviceSpec, str, _Configs], Dict[str, np.ndarray]],
+    Callable[
+        [ProfileBatch, DeviceSpec, str, _Configs, np.ndarray],
+        Tuple[Dict[str, object], ...],
+    ],
 ] = {
     "coo": _coo,
     "csr": _csr,
@@ -906,8 +907,10 @@ def estimate_batch(
     """Evaluate the cost models for N matrices × F formats in one pass.
 
     Each format's model runs once for all of its configurations among
-    ``formats``; the parse and the column layout come from a plan cached
-    per tuple of keys.
+    ``formats`` and returns its terms; one :func:`_assemble` call turns
+    the terms of every kernel into costs, then CSR keeps its fastest
+    kernel per cell and ELL applies its chunk factor.  The parse and the
+    column layout come from a plan cached per tuple of keys.
 
     Parameters
     ----------
@@ -937,10 +940,43 @@ def estimate_batch(
             f"unknown format {plan.unknown[0]!r}; expected one of {sorted(KERNEL_MODELS)}"
         )
     columns = batch.columns()
-    shape = (len(batch), len(plan.names))
-    fields = {name: np.empty(shape, dtype=np.float64) for name in _SWEEP_FIELDS}
+    gather = _gather(columns, device, precision)
+    n, f = len(batch), len(plan.names)
+    # The first kernel of a format fills the format's own columns; each
+    # further kernel (CSR's vector and row-packing ones) gets K extra
+    # columns after the F real ones.
+    swept = []
+    width = f
     for fmt, configs, dest in plan.groups:
-        out = KERNEL_MODELS[fmt](columns, device, precision, configs)
-        for name in _SWEEP_FIELDS:
-            fields[name][:, dest] = out[name]
-    return CostBreakdownBatch(formats=plan.names, **fields)
+        kernels = KERNEL_MODELS[fmt](columns, device, precision, configs, gather)
+        dests = [dest]
+        for _ in kernels[1:]:
+            dests.append(slice(width, width + len(configs)))
+            width += len(configs)
+        swept.append((kernels, dests))
+    terms = dict(zip(_BLOCK_TERMS, np.empty((len(_BLOCK_TERMS), n, width))))
+    launches = np.empty((1, width))
+    setup_us = np.empty((1, width))
+    for kernels, dests in swept:
+        for kernel, cols in zip(kernels, dests):
+            for name in _BLOCK_TERMS:
+                terms[name][:, cols] = kernel[name]
+            launches[0, cols] = kernel["launches"]
+            setup_us[0, cols] = kernel["setup_us"]
+    out = _assemble(columns, device, launches=launches, setup_us=setup_us, **terms)
+    # Every field as one (fields, N, F') block, so the per-cell kernel
+    # choice moves all fields in one indexing step.
+    block = np.stack([out[name] for name in _SWEEP_FIELDS])
+    seconds = block[0]  # _SWEEP_FIELDS starts with "seconds"
+    for kernels, dests in swept:
+        if len(dests) > 1:
+            # Per-cell min over the kernels; np.argmin keeps the first
+            # on ties.
+            cols = np.stack([np.arange(width)[d] for d in dests])  # (kernels, K)
+            choice = np.argmin(seconds[:, cols], axis=1)  # (N, K)
+            picked = cols[choice, np.arange(cols.shape[1])]  # (N, K) columns
+            block[:, :, dests[0]] = block[:, np.arange(n)[:, None], picked]
+        if kernels[0]["scale"] is not None:
+            seconds[:, dests[0]] *= kernels[0]["scale"]
+    fields = np.ascontiguousarray(block[:, :, :f])
+    return CostBreakdownBatch(formats=plan.names, **dict(zip(_SWEEP_FIELDS, fields)))

@@ -365,12 +365,16 @@ class SpMVExecutor:
         """Benchmark N matrices × F formats through one batched sweep.
 
         Profiling, feasibility/OOM checks and the cost models all run
-        vectorized over the whole batch; only the noise sampling walks
-        the per-matrix jitter stream.  Each matrix's jitter is drawn as
-        a single block covering its feasible formats in order
-        (infeasible formats consume no randomness), which reproduces a
-        loop of per-format :meth:`benchmark` calls bit for bit — so
-        sweeps are interchangeable with such loops for any batch size.
+        vectorized over the whole batch (:meth:`sweep`).  Each matrix is
+        then labeled in one vectorized pass: its jitter is drawn as a
+        single ``(feasible, reps)`` block covering its feasible formats
+        in order (infeasible formats consume no randomness), scaled row
+        by row by each cell's cost estimate and structural factor, and
+        reduced to means and standard deviations row-wise.  This
+        reproduces a loop of per-format :meth:`benchmark` calls bit for
+        bit — so sweeps are interchangeable with such loops for any
+        batch size (``tests/test_label_equivalence.py`` holds it to the
+        frozen per-cell loop).
         """
         if reps <= 0:
             raise ValueError("reps must be positive")
@@ -379,6 +383,11 @@ class SpMVExecutor:
         cost, failed = self.sweep(batch, formats)
         failures = self._failures(batch, cost, failed)
         col = {fmt: j for j, fmt in enumerate(cost.formats)}
+        # Every cell's breakdown as Python floats in one conversion.
+        cells = np.stack(
+            [getattr(cost, name) for name in _batch._BREAKDOWN_FIELDS], axis=-1
+        ).tolist()
+        device, precision = self.device.name, self.precision
         sweeps: List[BenchmarkSweep] = []
         for i, prof in enumerate(profiles):
             fail_i = failures[i]
@@ -386,31 +395,31 @@ class SpMVExecutor:
             factors = self.noise.run_factors(
                 self.rng, reps * len(feasible)
             ).reshape(len(feasible), reps)
+            cols = [col[fmt] for fmt in feasible]
+            fixed = [
+                self.noise.structural_factor(prof.digest, fmt, device, precision)
+                for fmt in feasible
+            ]
+            runs = (cost.seconds[i, cols] * fixed)[:, None] * factors
+            mean = runs.mean(axis=1)
+            gflops = np.zeros(len(cols))
+            np.divide(cost.flops[i, cols], mean, out=gflops, where=mean > 0)
+            means = mean.tolist()
             samples: Dict[str, Optional[TimingSample]] = {
                 fmt: None for fmt in formats
             }
-            for k, fmt in enumerate(feasible):
-                j = col[fmt]
-                base_seconds = float(cost.seconds[i, j])
-                fixed = self.noise.structural_factor(
-                    prof.digest, fmt, self.device.name, self.precision
-                )
-                runs = base_seconds * fixed * factors[k]
-                mean = float(runs.mean())
-                if obs.enabled():
-                    obs.incr("gpu.benchmarks")
-                    obs.observe(f"gpu.model_seconds.{fmt}", mean)
-                flops = float(cost.flops[i, j])
+            for fmt, j, seconds, std, rate in zip(
+                feasible, cols, means, runs.std(axis=1).tolist(),
+                (gflops / 1e9).tolist(),
+            ):
                 samples[fmt] = TimingSample(
-                    fmt=fmt,
-                    device=self.device.name,
-                    precision=self.precision,
-                    seconds=mean,
-                    std_seconds=float(runs.std()),
-                    reps=reps,
-                    gflops=flops / mean / 1e9 if mean > 0 else 0.0,
-                    breakdown=cost.at(i, j),
+                    fmt, device, precision, seconds, std, reps, rate,
+                    CostBreakdown(*cells[i][j]),
                 )
+            if feasible and obs.enabled():
+                obs.incr("gpu.benchmarks", len(feasible))
+                for fmt, seconds in zip(feasible, means):
+                    obs.observe(f"gpu.model_seconds.{fmt}", seconds)
             sweeps.append(BenchmarkSweep(samples, fail_i))
         return sweeps
 

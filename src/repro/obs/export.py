@@ -206,11 +206,15 @@ class JsonLinesSink:
     writable text stream.  Every event is one JSON object with at least
     ``{"ts": <unix seconds>, "event": <type>}``; emission is serialised
     by a lock so concurrent threads never interleave partial lines.
+    After :meth:`close` the sink drops every event: a closed path sink
+    never reopens its file, so an emit that races the close (``obs``
+    reads its sink outside the lock) cannot leak a handle.
     """
 
     def __init__(self, target: Union[str, Path, IO[str]]) -> None:
         self._lock = threading.Lock()
         self._own = False
+        self._closed = False
         if isinstance(target, (str, Path)):
             self._path: Optional[Path] = Path(target)
             self._fh: Optional[IO[str]] = None
@@ -236,6 +240,8 @@ class JsonLinesSink:
             line = json.dumps({"ts": record["ts"], "event": event,
                                "error": "unserialisable payload"})
         with self._lock:
+            if self._closed:
+                return
             try:
                 fh = self._handle()
                 fh.write(line + "\n")
@@ -244,7 +250,9 @@ class JsonLinesSink:
                 pass  # a full disk must not take the workload down
 
     def close(self) -> None:
+        """Close an owned file and drop every later event."""
         with self._lock:
+            self._closed = True
             if self._fh is not None and self._own:
                 try:
                     self._fh.close()

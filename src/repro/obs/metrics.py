@@ -150,22 +150,31 @@ class Histogram:
     def quantile(self, q: float) -> float:
         """Estimated ``q``-quantile (``q`` in [0, 1]).
 
-        Linear interpolation inside the bucket containing the target
-        rank, clamped to the observed min/max so estimates never leave
-        the data range.  Returns 0.0 for an empty histogram.
+        The target is the sample at rank ``q * (n - 1)`` (0-based, as
+        ``numpy.percentile`` interpolates).  Inside the bucket holding
+        that rank, its ``c`` samples are taken to sit at the midpoints
+        of ``c`` equal slices, so rank ``r`` lands at fraction
+        ``(r - below + 0.5) / c`` of the bucket; the estimate is
+        clamped to the observed min/max, and ranks 0 and ``n - 1`` are
+        the tracked min and max exactly.  Returns 0.0 for an empty
+        histogram.
         """
         if not 0.0 <= q <= 1.0:
             raise ValueError("q must be in [0, 1]")
         with self._lock:
             if self._count == 0:
                 return 0.0
-            target = q * self._count
+            target = q * (self._count - 1)
+            if target <= 0:
+                return self._min
+            if target >= self._count - 1:
+                return self._max
             cum = 0
             lower = self._min
             for edge, c in zip(self.boundaries, self._counts):
                 if c:
-                    if cum + c >= target:
-                        frac = (target - cum) / c
+                    if cum + c > target:
+                        frac = (target - cum + 0.5) / c
                         est = lower + frac * (min(edge, self._max) - lower)
                         return min(max(est, self._min), self._max)
                     cum += c
