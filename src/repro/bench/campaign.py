@@ -66,10 +66,6 @@ __all__ = [
 #: shards are ignored and re-measured.
 SHARD_VERSION = 1
 
-#: Default number of workers when neither the ``workers`` argument nor
-#: ``REPRO_WORKERS`` is set.
-_DEFAULT_WORKERS = 1
-
 
 # ---------------------------------------------------------------------------
 # Seeds and content keys
@@ -268,19 +264,8 @@ def _label_one(payload: Tuple) -> MatrixResult:
                     alarm_set = True
             matrix = entry.build()
             executor = SpMVExecutor(device, precision, noise=noise, seed=seed)
-            # One structural scan produces the profile and all 17
-            # features (repro.analysis) — the campaign's per-matrix
-            # analysis cost is one pass, not two.
-            analysis = executor.analyze(matrix)
-            features = analysis.features
             label = label_matrix(
-                executor,
-                matrix,
-                name=entry.name,
-                formats=formats,
-                reps=reps,
-                features=features,
-                profile=analysis.profile,
+                executor, matrix, name=entry.name, formats=formats, reps=reps
             )
             if not label.complete:
                 reasons = "; ".join(
@@ -297,7 +282,7 @@ def _label_one(payload: Tuple) -> MatrixResult:
                 name=entry.name,
                 key=key,
                 ok=True,
-                features=[float(features[f]) for f in ALL_FEATURES],
+                features=[float(label.features[f]) for f in ALL_FEATURES],
                 times=[float(label.times[f]) for f in formats],
                 elapsed_s=time.perf_counter() - start,
             )
@@ -352,13 +337,9 @@ def _write_shard(shard_dir: Path, result: MatrixResult) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _resolve_workers(workers: Optional[int],
-                     config: Optional[ReproConfig] = None) -> int:
+def _resolve_workers(workers: Optional[int]) -> int:
     if workers is None:
-        if config is not None:
-            workers = config.workers
-        else:
-            workers = int(os.environ.get("REPRO_WORKERS", str(_DEFAULT_WORKERS)))
+        workers = ReproConfig.from_env().workers
     return max(1, int(workers))
 
 
@@ -376,7 +357,6 @@ def run_campaign(
     shard_dir: Optional[Union[str, Path]] = None,
     progress: Optional[Callable[[CampaignProgress], None]] = None,
     timeout_s: Optional[float] = None,
-    config: Optional[ReproConfig] = None,
 ) -> CampaignResult:
     """Run the measurement campaign over ``corpus``.
 
@@ -397,9 +377,9 @@ def run_campaign(
         left at its default, so an explicit vocabulary always wins.
     workers:
         Process-pool width; ``1`` runs inline.  Defaults to
-        ``config.workers`` when a config is given, else to the
-        ``REPRO_WORKERS`` environment variable (itself defaulting to
-        1).  Results are bit-identical for any worker count.
+        ``ReproConfig.from_env().workers`` (``REPRO_WORKERS``, itself
+        defaulting to 1).  Results are bit-identical for any worker
+        count.
     shard_dir:
         Directory for per-matrix resume shards; ``None`` disables
         resumability.
@@ -409,9 +389,6 @@ def run_campaign(
     timeout_s:
         Per-matrix soft labeling timeout (POSIX only); a matrix
         exceeding it is recorded as failed.
-    config:
-        Optional :class:`~repro.config.ReproConfig` supplying defaults
-        (currently ``workers``) when the explicit argument is ``None``.
 
     Returns
     -------
@@ -420,7 +397,7 @@ def run_campaign(
     """
     entries = list(corpus)
     noise = noise if noise is not None else NoiseModel()
-    workers = _resolve_workers(workers, config)
+    workers = _resolve_workers(workers)
     if tuned and tuple(formats) == tuple(FORMAT_NAMES):
         from .. import tuning
 

@@ -5,11 +5,9 @@ Subcommands cover the full workflow a downstream user needs:
 * ``corpus``   — sample the synthetic SuiteSparse-shaped corpus and write
   Matrix Market files plus a manifest.
 * ``features`` — print the paper's 17 features for ``.mtx`` files.
-* ``label``    — run the measurement campaign on a simulated device and
-  save an ``SpMVDataset`` (``.npz``).
-* ``campaign`` — the same measurement campaign with the full engine
-  surfaced: parallel workers, per-matrix resume shards, a failure log
-  and live progress output.
+* ``campaign`` — run the measurement campaign on a simulated device and
+  save an ``SpMVDataset`` (``.npz``): parallel workers, per-matrix
+  resume shards, a failure log and live progress output.
 * ``train``    — fit a format selector on a labeled dataset and save it.
 * ``predict``  — load a trained selector and pick formats for ``.mtx``
   files.
@@ -85,17 +83,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("features", help="print the 17 features of .mtx files")
     p.add_argument("files", nargs="+", type=Path)
 
-    p = sub.add_parser("label", help="run the simulated measurement campaign")
-    p.add_argument("--device", default="k40c", choices=device_choices)
-    p.add_argument("--precision", default="single", choices=("single", "double"))
-    p.add_argument("--scale", type=float, default=0.02)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-nnz", type=int, default=1_000_000)
-    p.add_argument("--reps", type=int, default=50)
-    p.add_argument("--workers", type=int, default=None,
-                   help="campaign worker processes (default: REPRO_WORKERS or 1)")
-    p.add_argument("--out", type=Path, required=True, help="output .npz path")
-
     p = sub.add_parser(
         "campaign",
         help="run a parallel, resumable measurement campaign",
@@ -138,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", type=Path, required=True, help="output .npz path")
 
     p = sub.add_parser("train", help="train a format selector on a dataset")
-    p.add_argument("--dataset", type=Path, required=True, help=".npz from 'label'")
+    p.add_argument("--dataset", type=Path, required=True, help=".npz from 'campaign'")
     p.add_argument("--model", default="xgboost",
                    choices=("decision_tree", "svm", "mlp", "mlp_ensemble", "xgboost"))
     p.add_argument("--feature-set", default="set12",
@@ -169,7 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
     rp = rsub.add_parser("save", help="train a model and save it as a new version")
     rp.add_argument("--registry", type=Path, required=True, help="registry root dir")
     rp.add_argument("--name", required=True, help="model name in the registry")
-    rp.add_argument("--dataset", type=Path, required=True, help=".npz from 'label'")
+    rp.add_argument("--dataset", type=Path, required=True, help=".npz from 'campaign'")
     rp.add_argument("--kind", default="selector", choices=("selector", "predictor"))
     rp.add_argument("--model", default="xgboost",
                     choices=("decision_tree", "svm", "svr", "mlp",
@@ -342,32 +329,6 @@ def _cmd_features(args) -> int:
     for path in args.files:
         feats = extract_features(read_matrix_market(path))
         print(f"{path.name}," + ",".join(f"{feats[f]:.6g}" for f in ALL_FEATURES))
-    return 0
-
-
-def _cmd_label(args) -> int:
-    from .core import build_dataset
-    from .gpu import DEVICES
-    from .matrices import SyntheticCorpus
-
-    corpus = SyntheticCorpus(scale=args.scale, seed=args.seed, max_nnz=args.max_nnz)
-    ds = build_dataset(
-        corpus,
-        DEVICES[args.device],
-        args.precision,
-        reps=args.reps,
-        seed=args.seed,
-        workers=args.workers,
-    )
-    args.out.parent.mkdir(parents=True, exist_ok=True)
-    ds.save(args.out)
-    from collections import Counter
-
-    dist = Counter(ds.label_names.tolist())
-    print(f"labeled {len(ds)} matrices on {ds.device} ({ds.precision})")
-    print("best-format distribution: "
-          + ", ".join(f"{k}={v}" for k, v in dist.most_common()))
-    print(f"saved {args.out}")
     return 0
 
 
@@ -834,7 +795,6 @@ def _cmd_obs(args) -> int:
 _COMMANDS = {
     "corpus": _cmd_corpus,
     "features": _cmd_features,
-    "label": _cmd_label,
     "campaign": _cmd_campaign,
     "train": _cmd_train,
     "predict": _cmd_predict,

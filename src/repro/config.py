@@ -20,13 +20,10 @@ variable                  meaning                                default
 ``REPRO_REPS``            repetitions per (matrix, format)       ``50``
 ``REPRO_WORKERS``         campaign worker processes              ``1``
 ``REPRO_CACHE``           dataset cache directory                ``.repro_cache``
-``REPRO_ENERGY_WEIGHT``   multi-objective selection weight       ``0.0``
-                          (0 = pure time, 1 = pure energy
-                          proxy; see :mod:`repro.tuning`)
 ========================  =====================================  ============
 
-Call sites take an optional ``config=`` argument defaulting to
-``ReproConfig.from_env()``::
+The bench entry points (:mod:`repro.bench.runner`) take an optional
+``config=`` argument defaulting to ``ReproConfig.from_env()``::
 
     from repro.config import ReproConfig
 
@@ -64,7 +61,6 @@ class ReproConfig:
     reps: int = DEFAULT_REPS
     workers: int = 1
     cache_dir: str = ".repro_cache"
-    energy_weight: float = 0.0
 
     def __post_init__(self) -> None:
         if self.scale <= 0:
@@ -75,10 +71,6 @@ class ReproConfig:
             raise ValueError(f"reps must be >= 1, got {self.reps}")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
-        if not 0.0 <= self.energy_weight <= 1.0:
-            raise ValueError(
-                f"energy_weight must be in [0, 1], got {self.energy_weight}"
-            )
 
     @classmethod
     def from_env(cls, env: Optional[Mapping[str, str]] = None) -> "ReproConfig":
@@ -96,7 +88,6 @@ class ReproConfig:
             reps=int(env.get("REPRO_REPS", str(DEFAULT_REPS))),
             workers=max(1, int(env.get("REPRO_WORKERS", "1"))),
             cache_dir=env.get("REPRO_CACHE", ".repro_cache"),
-            energy_weight=float(env.get("REPRO_ENERGY_WEIGHT", "0.0")),
         )
 
     def replace(self, **changes) -> "ReproConfig":

@@ -17,11 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..config import ReproConfig
 from ..features import ALL_FEATURES, FEATURE_SETS
 from ..formats import FORMAT_NAMES
 from ..gpu import DeviceSpec, NoiseModel
@@ -194,15 +193,12 @@ def build_dataset(
     cache_path: Optional[Union[str, Path]] = None,
     workers: Optional[int] = None,
     shard_dir: Optional[Union[str, Path]] = None,
-    progress: Optional[Callable] = None,
-    config: Optional[ReproConfig] = None,
 ) -> SpMVDataset:
     """Label a whole corpus on one simulated device/precision.
 
     Thin wrapper over the measurement-campaign engine
     (:func:`repro.bench.campaign.run_campaign`): the per-matrix labeling
-    loop fans out over ``workers`` processes (default: ``config.workers``
-    when a :class:`~repro.config.ReproConfig` is given, else the
+    loop fans out over ``workers`` processes (default: the
     ``REPRO_WORKERS`` environment variable, falling back to serial),
     per-matrix failures are recorded and skipped, and ``shard_dir``
     makes interrupted campaigns resumable.  Results are bit-identical
@@ -238,8 +234,6 @@ def build_dataset(
         seed=seed,
         workers=workers,
         shard_dir=shard_dir,
-        progress=progress,
-        config=config,
     )
     ds = result.to_dataset()
     if cache_path is not None:

@@ -14,11 +14,11 @@ always near-ties, so the performance loss of excluding it is minimal).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from typing import Dict, Sequence
 
-from ..features import extract_features
+from .. import analysis as matrix_analysis
 from ..formats import FORMAT_NAMES, SparseFormat
-from ..gpu import MatrixProfile, SpMVExecutor
+from ..gpu import SpMVExecutor
 from ..gpu.batch import known_formats
 
 from ..config import DEFAULT_REPS  # noqa: F401  (canonical home: repro.config)
@@ -77,10 +77,12 @@ def label_matrix(
     name: str = "",
     formats: Sequence[str] = FORMAT_NAMES,
     reps: int = DEFAULT_REPS,
-    features: Optional[Dict[str, float]] = None,
-    profile: Optional[MatrixProfile] = None,
 ) -> MatrixLabel:
     """Benchmark all ``formats`` on ``matrix`` and derive its label.
+
+    One structural scan (:func:`repro.analysis.analyze_matrix`) yields
+    the profile and the 17 features; one batched sweep
+    (:meth:`~repro.gpu.SpMVExecutor.benchmark_batch`) times every format.
 
     Parameters
     ----------
@@ -95,21 +97,14 @@ def label_matrix(
         Tables VII+ all six).
     reps:
         Repetitions to average (paper: 50).
-    features, profile:
-        Optionally pre-computed features/profile to avoid re-scanning.
 
     Raises
     ------
     ValueError
         If *no* requested format could execute.
     """
-    if profile is None and features is None:
-        # One shared structural scan yields both (see repro.analysis).
-        analysis = executor.analyze(matrix)
-        prof, feats = analysis.profile, analysis.features
-    else:
-        prof = profile if profile is not None else executor.profile(matrix)
-        feats = features if features is not None else extract_features(matrix)
+    # Looked up at call time, so a patched ``analyze_matrix`` is seen.
+    analysis = matrix_analysis.analyze_matrix(matrix)
     times: Dict[str, float] = {}
     gflops: Dict[str, float] = {}
     failed: Dict[str, str] = {}
@@ -121,7 +116,9 @@ def label_matrix(
     for fmt in formats:
         if fmt not in known:  # the KeyError a per-format call would raise
             failed[fmt] = f"KeyError: {fmt!r}"
-    sweep = executor.benchmark_batch([prof], formats=known, reps=reps)[0]
+    sweep = executor.benchmark_batch(
+        [analysis.profile], formats=known, reps=reps
+    )[0]
     for fmt in known:
         sample = sweep[fmt]
         if sample is None:  # simulated OOM / kernel failure
@@ -135,7 +132,7 @@ def label_matrix(
     best = min(times, key=times.get)
     return MatrixLabel(
         name=name,
-        features=feats,
+        features=analysis.features,
         times=times,
         gflops=gflops,
         best_format=best,

@@ -7,8 +7,9 @@ and provides
   (``from_coo``) and conversion back (``to_coo``),
 * a functional SpMV kernel (``spmv``) that mirrors, in vectorised numpy,
   the parallel decomposition of the corresponding GPU kernel,
-* device-memory accounting (``memory_bytes``) used by the GPU simulator
-  to estimate data movement, and
+* storage accounting (``memory_bytes``, the bytes of the format's
+  arrays; the GPU simulator takes each format's device footprint from
+  its cost model in :mod:`repro.gpu.batch`, not from here), and
 * structural metadata (``shape``, ``nnz``, ``dtype``).
 
 The formats are value types: all underlying arrays are created
@@ -162,8 +163,8 @@ class SparseFormat(abc.ABC):
         """Device bytes occupied by the matrix data structures.
 
         This is the *stored* footprint — e.g. for ELL it includes the
-        zero padding — and is the quantity the GPU simulator streams
-        from DRAM.
+        zero padding.  The GPU simulator does not read it: each cost
+        model in :mod:`repro.gpu.batch` returns its own ``footprint``.
         """
 
     # -- conveniences ---------------------------------------------------

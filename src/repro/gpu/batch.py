@@ -296,8 +296,7 @@ def _gather(batch: ProfileBatch, device: DeviceSpec, precision: str) -> np.ndarr
     """The x-gather DRAM bytes at unit locality, computed once per sweep.
 
     Models that visit rows out of order scale it by their locality
-    penalty: ``gather * 1.22`` equals the gather computed at penalty
-    1.22 bit for bit, since ``fetched * line * 1.0`` is exact.
+    penalty (CSR5: ``gather * 1.22``).
     """
     return gather_traffic_bytes_batch(
         batch.gather_unique[precision],

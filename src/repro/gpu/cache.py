@@ -132,8 +132,6 @@ def gather_traffic_bytes(
     profile: MatrixProfile,
     device: DeviceSpec,
     precision: str,
-    *,
-    locality_penalty: float = 1.0,
 ) -> float:
     """DRAM bytes fetched for the ``x`` gather of one SpMV.
 
@@ -147,16 +145,11 @@ def gather_traffic_bytes(
         Target GPU (supplies L2 capacity and line size).
     precision:
         ``"single"`` or ``"double"``.
-    locality_penalty:
-        Format-specific multiplier ≥ 1 for execution orders that visit
-        rows non-contiguously (e.g. CSR5's tile transposition slightly
-        reduces temporal locality of the gather).
     """
     stats: GatherStats = profile.gather[precision]
     return float(
         gather_traffic_bytes_batch(
-            [stats.unique_lines], [stats.line_fetches], [profile.nnz], device,
-            locality_penalty=locality_penalty,
+            [stats.unique_lines], [stats.line_fetches], [profile.nnz], device
         )[0]
     )
 
@@ -166,8 +159,6 @@ def gather_traffic_bytes_batch(
     line_fetches: np.ndarray,
     nnz: np.ndarray,
     device: DeviceSpec,
-    *,
-    locality_penalty: float = 1.0,
 ) -> np.ndarray:
     """DRAM bytes fetched for the ``x`` gather of N SpMVs at once.
 
@@ -189,5 +180,4 @@ def gather_traffic_bytes_batch(
         unique + extra,
         resident * unique + (1.0 - resident) * fetches,
     )
-    traffic = fetched * line * min(max(locality_penalty, 1.0), 4.0)
-    return np.where(np.asarray(nnz, dtype=np.int64) == 0, 0.0, traffic)
+    return np.where(np.asarray(nnz, dtype=np.int64) == 0, 0.0, fetched * line)

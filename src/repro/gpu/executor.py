@@ -154,11 +154,6 @@ class SpMVExecutor:
         (default) lets ELL run arbitrarily padded — like a real GPU,
         where a skewed matrix makes ELL *slow* long before the
         allocation fails — so only genuine OOM drops a matrix.
-    profile_cache_maxsize:
-        Bound on the per-structure analysis cache (LRU eviction); a
-        long campaign streams thousands of matrices through one
-        executor, so the cache must not grow without limit.  ``None``
-        restores the old unbounded behaviour.
     format_cache_maxsize:
         Bound on the converted-format cache used by :meth:`run` (LRU);
         converted formats hold full index/value arrays, so the default
@@ -173,7 +168,6 @@ class SpMVExecutor:
         noise: Optional[NoiseModel] = None,
         seed: int = 0,
         ell_padding_limit: Optional[float] = None,
-        profile_cache_maxsize: Optional[int] = 256,
         format_cache_maxsize: Optional[int] = 16,
     ) -> None:
         if precision not in ("single", "double"):
@@ -183,32 +177,21 @@ class SpMVExecutor:
         self.noise = noise if noise is not None else NoiseModel()
         self.rng = np.random.default_rng(seed)
         self.ell_padding_limit = None if ell_padding_limit is None else float(ell_padding_limit)
-        self._analysis_cache = LRUCache(profile_cache_maxsize)
         self._format_cache = LRUCache(format_cache_maxsize)
 
     # -- profiling -------------------------------------------------------
 
-    def analyze(self, matrix: SparseFormat):
-        """One-pass structural analysis (profile + 17 features), cached.
-
-        Returns a :class:`~repro.analysis.MatrixAnalysis`; repeat calls
-        for the same structure are served from a bounded LRU cache
-        keyed by the structure digest.
-        """
-        from ..analysis import analyze_matrix
-
-        analysis = analyze_matrix(matrix)
-        cached = self._analysis_cache.setdefault(analysis.profile.digest, analysis)
-        if obs.enabled():
-            obs.incr("gpu.analysis_cache_hits" if cached is not analysis
-                     else "gpu.analysis_cache_misses")
-        return cached
-
     def profile(self, matrix: Union[SparseFormat, MatrixProfile]) -> MatrixProfile:
-        """Profile ``matrix`` (cached by structure digest)."""
+        """Structural profile of ``matrix`` (a profile passes through).
+
+        One :func:`~repro.analysis.analyze_matrix` scan per call; callers
+        that also need the features analyse once and pass the profile.
+        """
         if isinstance(matrix, MatrixProfile):
             return matrix
-        return self.analyze(matrix).profile
+        from .. import analysis
+
+        return analysis.analyze_matrix(matrix).profile
 
     # -- feasibility -------------------------------------------------------
 

@@ -149,10 +149,9 @@ def profile_matrix(matrix: Union[SparseFormat, CSRMatrix]) -> MatrixProfile:
 
     Thin wrapper over :func:`repro.analysis.analyze_matrix`, which
     computes this profile *and* the 17 features from one shared scan;
-    callers needing both should use ``analyze_matrix`` (or
-    :meth:`repro.gpu.SpMVExecutor.analyze`) directly so the scan is not
-    repeated.  Results are bit-identical to the historical standalone
-    pass (see ``tests/test_analysis_equivalence.py``).
+    callers needing both should use ``analyze_matrix`` directly so the
+    scan is not repeated.  Results are bit-identical to the historical
+    standalone pass (see ``tests/test_analysis_equivalence.py``).
     """
     from ..analysis import analyze_matrix
 

@@ -1,4 +1,4 @@
-"""LRU cache + the executor's bounded analysis/format caches."""
+"""LRU cache + the executor's bounded format cache."""
 
 import threading
 
@@ -8,7 +8,6 @@ import pytest
 from repro.formats import COOMatrix
 from repro.gpu import KEPLER_K40C, SpMVExecutor
 from repro.gpu.cache import LRUCache
-from repro.matrices import random_uniform
 
 
 class TestLRUCache:
@@ -90,18 +89,6 @@ class TestLRUCache:
             t.join(timeout=30)
         assert not errors
         assert len(c) <= 32
-
-
-class TestExecutorAnalysisCache:
-    def test_cache_is_bounded(self):
-        ex = SpMVExecutor(KEPLER_K40C, profile_cache_maxsize=2)
-        for seed in range(4):
-            ex.analyze(random_uniform(20, 20, nnz=60, seed=seed))
-        assert len(ex._analysis_cache) == 2
-
-    def test_repeat_profile_is_same_object(self, small_coo):
-        ex = SpMVExecutor(KEPLER_K40C)
-        assert ex.profile(small_coo) is ex.profile(small_coo)
 
 
 class TestExecutorFormatCache:

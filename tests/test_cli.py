@@ -1,6 +1,5 @@
 """Tests for the command-line interface (driven in-process)."""
 
-import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
@@ -15,8 +14,8 @@ def workspace(tmp_path_factory):
     model_path = root / "sel.npz"
     assert main(["corpus", "--scale", "0.004", "--max-nnz", "20000",
                  "--out", str(mtx_dir)]) == 0
-    assert main(["label", "--scale", "0.008", "--max-nnz", "50000",
-                 "--out", str(ds_path)]) == 0
+    assert main(["campaign", "--scale", "0.008", "--max-nnz", "50000",
+                 "--no-resume", "--out", str(ds_path)]) == 0
     assert main(["train", "--dataset", str(ds_path), "--model", "decision_tree",
                  "--feature-set", "set12", "--out", str(model_path)]) == 0
     return root, mtx_dir, ds_path, model_path
@@ -97,19 +96,6 @@ class TestCampaign:
         second = capsys.readouterr().out
         assert "cached=" in second
 
-    def test_campaign_dataset_matches_label(self, tmp_path):
-        from repro.core import SpMVDataset
-
-        camp, lab = tmp_path / "c.npz", tmp_path / "l.npz"
-        common = ["--scale", "0.008", "--max-nnz", "40000"]
-        assert main(["campaign", *common, "--no-resume", "--quiet",
-                     "--out", str(camp)]) == 0
-        assert main(["label", *common, "--out", str(lab)]) == 0
-        a, b = SpMVDataset.load(camp), SpMVDataset.load(lab)
-        assert a.names == b.names
-        np.testing.assert_array_equal(a.times, b.times)
-        assert a.reps == b.reps == 50
-
 
 class TestParser:
     def test_requires_command(self):
@@ -162,8 +148,8 @@ class TestObservability:
         assert main(["obs", str(snap_path)]) == 0
 
     def test_trace_flag_prints_tables(self, tmp_path, capsys):
-        assert main(["--trace", "label", "--scale", "0.004",
-                     "--max-nnz", "20000",
+        assert main(["--trace", "campaign", "--scale", "0.004",
+                     "--max-nnz", "20000", "--no-resume",
                      "--out", str(tmp_path / "ds.npz")]) == 0
         err = capsys.readouterr().err
         assert "campaign.run" in err

@@ -6,6 +6,7 @@ from repro.config import DEFAULT_REPS, ReproConfig
 
 ENV_VARS = ("REPRO_SCALE", "REPRO_MAX_NNZ", "REPRO_SEED", "REPRO_REPS",
             "REPRO_WORKERS", "REPRO_CACHE")
+ENV_READERS = ("environ", "getenv")
 
 
 @pytest.fixture
@@ -94,7 +95,7 @@ class TestObjectProtocol:
         d = ReproConfig().to_dict()
         assert json.loads(json.dumps(d)) == d
         assert set(d) == {"scale", "max_nnz", "seed", "reps", "workers",
-                          "cache_dir", "energy_weight"}
+                          "cache_dir"}
 
 
 class TestCallSites:
@@ -106,13 +107,35 @@ class TestCallSites:
         assert isinstance(cfg, ReproConfig)
         assert cfg.scale == 0.4
 
+    def test_only_config_reads_the_environment(self):
+        """``ReproConfig.from_env`` is the one reader of ``os.environ``."""
+        import ast
+        from pathlib import Path
+
+        import repro
+
+        def reads_env(node) -> bool:
+            if isinstance(node, ast.Attribute):
+                return (node.attr in ENV_READERS and isinstance(node.value, ast.Name)
+                        and node.value.id == "os")
+            if isinstance(node, ast.ImportFrom) and node.module == "os":
+                return any(alias.name in ENV_READERS for alias in node.names)
+            return False
+
+        root = Path(repro.__file__).parent
+        readers = [
+            f"{path.relative_to(root)}:{node.lineno}"
+            for path in sorted(root.rglob("*.py")) if path != root / "config.py"
+            for node in ast.walk(ast.parse(path.read_text())) if reads_env(node)
+        ]
+        assert readers == []
+
     def test_campaign_workers_precedence(self, clean_env):
         from repro.bench.campaign import _resolve_workers
 
         clean_env.setenv("REPRO_WORKERS", "3")
-        # explicit argument > config > environment > default
-        assert _resolve_workers(5, ReproConfig(workers=2)) == 5
-        assert _resolve_workers(None, ReproConfig(workers=2)) == 2
-        assert _resolve_workers(None, None) == 3
+        # explicit argument > environment > default
+        assert _resolve_workers(5) == 5
+        assert _resolve_workers(None) == 3
         clean_env.delenv("REPRO_WORKERS")
-        assert _resolve_workers(None, None) == 1
+        assert _resolve_workers(None) == 1

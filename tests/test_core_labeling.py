@@ -59,7 +59,26 @@ class TestLabelMatrix:
         label = label_matrix(kepler_executor, small_coo, reps=7)
         assert label.times  # just runs; protocol covered by executor tests
 
-    def test_precomputed_features_reused(self, kepler_executor, small_coo):
-        sentinel = {"n_rows": -1.0}
-        label = label_matrix(kepler_executor, small_coo, features=sentinel)
-        assert label.features is sentinel
+    def test_own_analysis_when_stride_sample_collides(self):
+        """Two matrices whose structure digests hash the same strided
+        sample of ``indices`` still get their own features and profile
+        from one executor."""
+        from repro.analysis import analyze_matrix
+        from repro.formats import COOMatrix
+
+        n = 2000
+        rows = np.repeat(np.arange(n), 5)
+        cols = np.tile(np.arange(0, 500, 100), n)
+        changed = cols.copy()
+        changed[1] = 1  # row 0's column 100; the digest's stride skips it
+        a = COOMatrix((n, n), rows, cols, np.ones(rows.size))
+        b = COOMatrix((n, n), rows, changed, np.ones(rows.size))
+        first, second = analyze_matrix(a), analyze_matrix(b)
+        assert first.profile.digest == second.profile.digest
+        assert first.features["nnzb_tot"] == 10000
+        assert second.features["nnzb_tot"] == 9999
+        ex = SpMVExecutor(KEPLER_K40C)
+        for m, own in ((a, first), (b, second)):
+            label = label_matrix(ex, m, formats=("csr",), reps=1)
+            assert label.features == own.features
+            assert ex.profile(m) == own.profile

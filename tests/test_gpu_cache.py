@@ -1,7 +1,5 @@
 """Tests for the L2 gather-traffic model."""
 
-import pytest
-
 from repro.gpu import KEPLER_K40C, PASCAL_P100, gather_traffic_bytes, profile_matrix
 from repro.matrices import banded, clustered, power_law, random_uniform
 
@@ -49,22 +47,6 @@ def test_locality_reduces_traffic():
     assert gather_traffic_bytes(local, KEPLER_K40C, "single") < gather_traffic_bytes(
         scattered, KEPLER_K40C, "single"
     )
-
-
-def test_locality_penalty_multiplies(small_coo):
-    prof = profile_matrix(small_coo)
-    base = gather_traffic_bytes(prof, KEPLER_K40C, "single")
-    penalised = gather_traffic_bytes(
-        prof, KEPLER_K40C, "single", locality_penalty=1.2
-    )
-    assert penalised == pytest.approx(1.2 * base)
-
-
-def test_penalty_clamped(small_coo):
-    prof = profile_matrix(small_coo)
-    low = gather_traffic_bytes(prof, KEPLER_K40C, "single", locality_penalty=0.1)
-    base = gather_traffic_bytes(prof, KEPLER_K40C, "single")
-    assert low == pytest.approx(base)  # clamped to >= 1
 
 
 def test_double_precision_traffic_at_least_single(small_coo):

@@ -52,10 +52,10 @@ class TestBenchmarkProtocol:
         assert set(out) == set(FORMAT_NAMES)
         assert all(s is not None for s in out.values())
 
-    def test_profile_cached(self, kepler_executor, small_coo):
+    def test_profile_recomputed_equal(self, kepler_executor, small_coo):
         p1 = kepler_executor.profile(small_coo)
-        p2 = kepler_executor.profile(small_coo)
-        assert p1 is p2
+        assert kepler_executor.profile(small_coo) == p1
+        assert kepler_executor.profile(p1) is p1
 
 
 class TestFailureModes:
