@@ -45,6 +45,7 @@ from .formats import CSRMatrix, SparseFormat
 from .gpu.profile import (
     GatherStats,
     MatrixProfile,
+    _mean_std,
     _structure_digest,
 )
 
@@ -71,6 +72,10 @@ class MatrixAnalysis:
     features: Dict[str, float]
 
 
+#: Vector elements per 128-byte x-line at each precision.
+_LINE_ELEMS = (("single", 32), ("double", 16))
+
+
 def _as_csr(matrix: Union[SparseFormat, CSRMatrix]) -> CSRMatrix:
     return matrix if isinstance(matrix, CSRMatrix) else CSRMatrix.from_coo(matrix.to_coo())
 
@@ -80,19 +85,19 @@ def analyze_matrix(matrix: Union[SparseFormat, CSRMatrix]) -> MatrixAnalysis:
 
     Bit-identical to running the historical profile and feature passes
     back to back, at roughly the cost of one of them: all intermediates
-    (CSR view, row lengths, the ``int64`` column array, the non-empty-row
-    starts) are computed once and shared, and no full-length sort is
-    performed.
+    (CSR view, row lengths, the xor of successive column indices, the
+    non-empty-row starts) are computed once and shared, and no
+    full-length sort is performed.
     """
     csr = _as_csr(matrix)
     n_rows, n_cols = csr.shape
     nnz = csr.nnz
-    lengths = np.diff(csr.indptr)
+    indptr = csr.indptr
+    lengths = indptr[1:] - indptr[:-1]
 
     # --- row-length moments (profile + feature sets 1-2) ----------------
     if n_rows:
-        mu = float(lengths.mean())
-        sigma = float(lengths.std())
+        mu, sigma = map(float, _mean_std(lengths))
         lmax = int(lengths.max())
         lmin = int(lengths.min())
     else:
@@ -101,84 +106,77 @@ def analyze_matrix(matrix: Union[SparseFormat, CSRMatrix]) -> MatrixAnalysis:
 
     nonempty = lengths > 0
     n_nonempty = int(np.count_nonzero(nonempty))
-    row_starts = csr.indptr[:-1][nonempty]
 
-    # --- warp-level factors (32-row groups, scalar/vector CSR) ----------
-    if n_rows and nnz:
-        pad_rows = (-n_rows) % 32
-        padded = np.concatenate([lengths, np.zeros(pad_rows, dtype=lengths.dtype)])
-        warp_max = padded.reshape(-1, 32).max(axis=1)
-        warp_divergence = float(32.0 * warp_max.sum() / nnz)
-        vector_waste = float((np.ceil(lengths / 32.0) * 32.0).sum() / nnz)
+    gather: Dict[str, GatherStats] = {}
+    if nnz == 0:
+        # Warp factors 1, no HYB split, no lines, diagonals or blocks.
+        warp_divergence = vector_waste = 1.0
+        k = hyb_ell_nnz = hyb_spill = hyb_spill_rows = 0
+        for precision, epl in _LINE_ELEMS:
+            gather[precision] = GatherStats(epl, 0, 0, -(-max(n_cols, 1) // epl))
+        n_diags = bsr_blocks = 0
     else:
-        warp_divergence = 1.0
-        vector_waste = 1.0
+        # --- warp-level factors (32-row groups, scalar/vector CSR) ------
+        warp_max = np.maximum.reduceat(lengths, np.arange(0, n_rows, 32))
+        warp_divergence = float(32.0 * warp_max.sum() / nnz)
+        # Rows padded to whole warps: exact integers, one rounding.
+        vector_waste = 32 * int(((lengths + 31) >> 5).sum()) / nnz
 
-    # --- HYB split geometry at the paper's mean-row-length threshold ----
-    if nnz and n_rows:
+        # --- HYB split geometry at the paper's mean-row-length threshold
         k = max(1, int(np.ceil(nnz / n_rows)))
-        clipped = np.minimum(lengths, k)
-        hyb_ell_nnz = int(clipped.sum())
+        hyb_ell_nnz = int(np.minimum(lengths, k).sum())
         hyb_spill = nnz - hyb_ell_nnz
         hyb_spill_rows = int(np.count_nonzero(lengths > k))
-    else:
-        k = 0
-        hyb_ell_nnz = 0
-        hyb_spill = 0
-        hyb_spill_rows = 0
 
-    # --- shared int64 column view (gather, chunks, diagonals, blocks) ---
-    col = csr.indices.astype(np.int64) if nnz else None
+        # --- shared column scan -----------------------------------------
+        # Columns are sorted within each row, and two successive columns
+        # share an aligned group of 2**s columns (a 4-wide BSR block, a
+        # 16- or 32-entry x-line) exactly when their xor is below 2**s.
+        # A new group starts there or at a row start; row_starts[0] is 0
+        # and every later row start follows one position of step_xor.
+        col = csr.indices
+        row_starts = indptr[:-1][nonempty]
+        step_xor = col[1:] ^ col[:-1]
+        xor_at_start = step_xor[row_starts[1:] - 1]
 
-    # --- gather-line statistics, per precision --------------------------
-    # Distinct-line counts use a boolean occupancy array over the
-    # ceil(n_cols / elems_per_line) possible x-lines instead of the old
-    # np.unique full sort: O(nnz + n_cols / epl), sort-free.
-    gather: Dict[str, GatherStats] = {}
-    for precision, itemsize in (("single", 4), ("double", 8)):
-        epl = max(1, 128 // itemsize)
-        x_lines = -(-max(n_cols, 1) // epl)
-        if nnz == 0:
-            gather[precision] = GatherStats(epl, 0, 0, x_lines)
-            continue
-        line = col // epl
-        new_line = np.empty(nnz, dtype=bool)
-        new_line[0] = True
-        np.not_equal(line[1:], line[:-1], out=new_line[1:])
-        new_line[row_starts] = True
-        line_fetches = int(np.count_nonzero(new_line))
-        seen = np.zeros(x_lines, dtype=bool)
-        seen[line] = True
-        unique_lines = int(np.count_nonzero(seen))
-        gather[precision] = GatherStats(epl, unique_lines, line_fetches, x_lines)
+        # --- gather-line statistics, per precision ----------------------
+        # Distinct lines: a boolean occupancy array over the 16-entry
+        # lines instead of np.unique; a 32-entry line is a pair of them.
+        seen16 = np.zeros(2 * -(-n_cols // 32), dtype=bool)
+        seen16[col >> 4] = True
+        seen = {16: seen16, 32: seen16[0::2] | seen16[1::2]}
+        for precision, epl in _LINE_ELEMS:
+            line_fetches = (
+                1
+                + int(np.count_nonzero(step_xor >= epl))
+                + int(np.count_nonzero(xor_at_start < epl))
+            )
+            gather[precision] = GatherStats(
+                epl, int(np.count_nonzero(seen[epl])), line_fetches,
+                -(-n_cols // epl),
+            )
 
-    # --- extension-format geometry (DIA / BSR) --------------------------
-    if nnz:
-        rows64 = np.repeat(np.arange(n_rows, dtype=np.int64), lengths)
-        # Occupied diagonals: values live in [-(n_rows-1), n_cols-1], so a
-        # boolean occupancy array replaces the np.unique sort.
+        # --- extension-format geometry (DIA / BSR) ----------------------
+        # Each entry's n_rows - 1 - row: its diagonal's offset in
+        # [0, n_rows + n_cols - 1) is then one add, and a boolean
+        # occupancy array replaces the np.unique sort.
+        flip = np.repeat(np.arange(n_rows - 1, -1, -1, dtype=np.int64), lengths)
         seen_d = np.zeros(n_rows + n_cols - 1, dtype=bool)
-        seen_d[col - rows64 + (n_rows - 1)] = True
+        seen_d[col + flip] = True
         n_diags = int(np.count_nonzero(seen_d))
-        # Occupied 4x4 blocks: block columns are non-decreasing within a
-        # row (CSR sorts columns), so per-row transitions enumerate each
-        # (row, block-col) pair exactly once; dedup across the <=4 rows
-        # of a block-row needs only one np.unique over that much smaller
-        # key stream.
-        n_bcols = -(-n_cols // 4)
-        bcol = col // 4
+        # Occupied 4x4 blocks: each row's block transitions enumerate its
+        # (row, block-col) pairs once; dedup across the <=4 rows of a
+        # block-row needs one sort of that much smaller key stream.
         new_block = np.empty(nnz, dtype=bool)
         new_block[0] = True
-        np.not_equal(bcol[1:], bcol[:-1], out=new_block[1:])
+        np.greater_equal(step_xor, 4, out=new_block[1:])
         new_block[row_starts] = True
-        block_keys = (rows64[new_block] // 4) * n_bcols + bcol[new_block]
-        # Distinct count via one in-place sort of the reduced key stream
-        # (np.unique's hash/sort machinery has far higher fixed overhead).
+        at = new_block.nonzero()[0]
+        block_keys = (n_rows - 1 - flip.take(at)) >> 2
+        block_keys *= -(-n_cols // 4)
+        block_keys += col.take(at) >> 2
         block_keys.sort()
         bsr_blocks = int(1 + np.count_nonzero(block_keys[1:] != block_keys[:-1]))
-    else:
-        n_diags = 0
-        bsr_blocks = 0
 
     profile = MatrixProfile(
         n_rows=n_rows,
@@ -229,22 +227,28 @@ def analyze_matrix(matrix: Union[SparseFormat, CSRMatrix]) -> MatrixAnalysis:
     np.not_equal(col[1:], col[:-1] + 1, out=chunk_start[1:])
     chunk_start[row_starts] = True
 
-    start_pos = np.flatnonzero(chunk_start)
+    start_pos = chunk_start.nonzero()[0]
     n_chunks = start_pos.size
-    chunk_sizes = np.diff(np.append(start_pos, nnz))
+    chunk_sizes = np.empty_like(start_pos)
+    np.subtract(start_pos[1:], start_pos[:-1], out=chunk_sizes[:-1])
+    chunk_sizes[-1] = nnz - start_pos[-1]
 
     # Chunks per row: chunk starts are sorted, so one searchsorted of the
     # row pointers bins them without the per-chunk owner lookup.
-    counts = np.diff(np.searchsorted(start_pos, csr.indptr, side="left"))
+    bins = start_pos.searchsorted(indptr, side="left")
+    counts = bins[1:] - bins[:-1]
 
+    # nnz > 0 here, so n_rows > 0 too.
+    nnzb_mu, nnzb_sigma = _mean_std(counts)
+    snzb_mu, snzb_sigma = _mean_std(chunk_sizes)
     features.update(
         nnzb_tot=float(n_chunks),
-        nnzb_mu=float(counts.mean()) if n_rows else 0.0,
-        nnzb_sigma=float(counts.std()) if n_rows else 0.0,
-        nnzb_min=float(counts.min()) if n_rows else 0.0,
-        nnzb_max=float(counts.max()) if n_rows else 0.0,
-        snzb_mu=float(chunk_sizes.mean()),
-        snzb_sigma=float(chunk_sizes.std()),
+        nnzb_mu=float(nnzb_mu),
+        nnzb_sigma=float(nnzb_sigma),
+        nnzb_min=float(counts.min()),
+        nnzb_max=float(counts.max()),
+        snzb_mu=float(snzb_mu),
+        snzb_sigma=float(snzb_sigma),
         snzb_min=float(chunk_sizes.min()),
         snzb_max=float(chunk_sizes.max()),
     )

@@ -22,8 +22,9 @@ from typing import Dict
 import numpy as np
 
 from ..formats import SparseFormat
-from ..gpu import SimulationError, SpMVExecutor
+from ..gpu import SpMVExecutor
 from .dataset import SpMVDataset
+from .sampling import probe_seconds
 from .selector import FormatSelector
 
 __all__ = ["ConfidenceSelector", "ConfidenceDecision"]
@@ -123,10 +124,10 @@ class ConfidenceSelector:
         # Fallback: measure the top-k candidates, keep the winner.
         candidates = [formats[i] for i in order[: self.top_k]]
         best_fmt, best_time, spent = None, np.inf, 0.0
+        probe = probe_seconds(self.executor, matrix, candidates, self.probe_reps)
         for fmt in candidates:
-            try:
-                t = self.executor.benchmark(matrix, fmt, reps=self.probe_reps).seconds
-            except SimulationError:
+            t = probe[fmt]
+            if t is None:
                 continue
             spent += t * self.probe_reps
             if t < best_time:

@@ -23,6 +23,35 @@ from ..gpu import SimulationError, SpMVExecutor
 __all__ = ["SamplingSelector", "sample_rows"]
 
 
+def probe_seconds(
+    executor: SpMVExecutor,
+    matrix: SparseFormat,
+    formats: Sequence[str],
+    reps: int,
+) -> Dict[str, Optional[float]]:
+    """Mean probe time of each format, ``None`` where it cannot run.
+
+    One analysis and one :meth:`~repro.gpu.SpMVExecutor.benchmark_batch`
+    sweep, bit for bit a loop of per-format ``benchmark`` calls.  A
+    failure that is not a :class:`~repro.gpu.SimulationError` (a
+    degenerate estimate) raises, as ``benchmark`` would.
+    """
+    sweep = executor.benchmark_batch(
+        [executor.profile(matrix)], formats=formats, reps=reps
+    )[0]
+    out: Dict[str, Optional[float]] = {}
+    for fmt in formats:
+        failure = sweep.failures.get(fmt)
+        if failure is None:
+            out[fmt] = sweep[fmt].seconds
+            continue
+        exc = failure.exception()
+        if not isinstance(exc, SimulationError):
+            raise exc
+        out[fmt] = None
+    return out
+
+
 def sample_rows(matrix: SparseFormat, fraction: float, *, seed: int = 0) -> COOMatrix:
     """A contiguous row-block sample of ``matrix``.
 
@@ -92,15 +121,7 @@ class SamplingSelector:
     def probe(self, matrix: SparseFormat) -> Dict[str, Optional[float]]:
         """Sampled per-format probe timings (``None`` = probe failed)."""
         sample = sample_rows(matrix, self.fraction, seed=self.seed)
-        out: Dict[str, Optional[float]] = {}
-        for fmt in self.formats:
-            try:
-                out[fmt] = self.executor.benchmark(
-                    sample, fmt, reps=self.probe_reps
-                ).seconds
-            except SimulationError:
-                out[fmt] = None
-        return out
+        return probe_seconds(self.executor, sample, self.formats, self.probe_reps)
 
     def predict_format(self, matrix: SparseFormat) -> str:
         """The format winning the sampled probe."""

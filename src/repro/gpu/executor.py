@@ -36,7 +36,7 @@ from .cache import LRUCache
 from .device import DeviceSpec
 from .kernels import estimate_time
 from .noise import NoiseModel
-from .profile import MatrixProfile
+from .profile import MatrixProfile, _mean_std
 
 __all__ = [
     "SpMVExecutor",
@@ -90,6 +90,10 @@ class FormatFailure:
 
     def __str__(self) -> str:
         return f"{self.error}: {self.reason}"
+
+    def exception(self) -> Exception:
+        """The exception the scalar path raises for this failure."""
+        return _ERRORS[self.error](self.reason)
 
 
 @dataclass(frozen=True)
@@ -203,7 +207,7 @@ class SpMVExecutor:
         batch = ProfileBatch.from_profiles([self.profile(matrix)])
         failure = self.feasibility_batch(batch, (fmt,))[0].get(fmt)
         if failure is not None:
-            raise _ERRORS[failure.error](failure.reason)
+            raise failure.exception()
 
     def feasibility_batch(
         self, batch: ProfileBatch, formats: Sequence[str]
@@ -317,7 +321,7 @@ class SpMVExecutor:
         sweep = self.benchmark_batch([matrix], formats=(fmt,), reps=reps)[0]
         failure = sweep.failures.get(fmt)
         if failure is not None:
-            raise _ERRORS[failure.error](failure.reason)
+            raise failure.exception()
         return sweep[fmt]
 
     def estimate_batch(
@@ -379,12 +383,11 @@ class SpMVExecutor:
                 self.rng, reps * len(feasible)
             ).reshape(len(feasible), reps)
             cols = [col[fmt] for fmt in feasible]
-            fixed = [
-                self.noise.structural_factor(prof.digest, fmt, device, precision)
-                for fmt in feasible
-            ]
+            fixed = self.noise.structural_factors(
+                prof.digest, feasible, device, precision
+            )
             runs = (cost.seconds[i, cols] * fixed)[:, None] * factors
-            mean = runs.mean(axis=1)
+            mean, std = _mean_std(runs, axis=1)
             gflops = np.zeros(len(cols))
             np.divide(cost.flops[i, cols], mean, out=gflops, where=mean > 0)
             means = mean.tolist()
@@ -392,8 +395,7 @@ class SpMVExecutor:
                 fmt: None for fmt in formats
             }
             for fmt, j, seconds, std, rate in zip(
-                feasible, cols, means, runs.std(axis=1).tolist(),
-                (gflops / 1e9).tolist(),
+                feasible, cols, means, std.tolist(), (gflops / 1e9).tolist()
             ):
                 samples[fmt] = TimingSample(
                     fmt, device, precision, seconds, std, reps, rate,

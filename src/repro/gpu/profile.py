@@ -109,6 +109,24 @@ class MatrixProfile:
         return self.n_rows * self.nnz_max / self.nnz
 
 
+def _mean_std(a: np.ndarray, axis=None):
+    """``(a.mean(axis), a.std(axis))`` from one shared sum.
+
+    Runs numpy's own ``mean``/``std`` operation sequence (one
+    ``np.add.reduce``, then a squared-deviation pass, integers summed as
+    float64), so both results are bit for bit numpy's, at a fraction of
+    the calls.  ``axis=None`` returns 0-d results.
+    """
+    n = a.size if axis is None else a.shape[axis]
+    dtype = np.float64 if a.dtype.kind in "biu" else None
+    mean = np.add.reduce(a, axis=axis, dtype=dtype, keepdims=True)
+    mean /= n
+    dev = a - mean
+    dev *= dev
+    var = np.add.reduce(dev, axis=axis, dtype=dtype) / n
+    return mean.reshape(np.shape(var)), np.sqrt(var)
+
+
 def _structure_digest(csr: CSRMatrix) -> bytes:
     """Stable 16-byte digest of the matrix structure.
 

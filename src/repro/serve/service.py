@@ -13,9 +13,9 @@ models behind one request/response surface:
   costs more than ``(1 + tolerance) ×`` the predicted best);
 * **micro-batching** — :meth:`predict_batch` featurises and caches per
   item but runs each model **once** over the stacked miss rows;
-* **caching** — bounded LRU feature and decision caches keyed on the
-  matrix structure digest / vector bytes, so a resubmitted matrix skips
-  both the O(nnz) scan and the model;
+* **caching** — bounded LRU feature and decision caches keyed on a
+  hash of the whole matrix structure / the vector bytes, so a
+  resubmitted matrix skips both the O(nnz) scan and the model;
 * **configurations** — every decision is a
   :class:`~repro.tuning.Configuration` (format plus kernel parameters)
   from the models' vocabulary of configuration keys;
@@ -32,6 +32,7 @@ back many concurrent server connections (see :mod:`repro.serve.server`).
 
 from __future__ import annotations
 
+import hashlib
 import threading
 import time
 from dataclasses import dataclass, field
@@ -50,6 +51,21 @@ from .registry import ModelRegistry, feature_names
 from .telemetry import ServiceTelemetry
 
 __all__ = ["Decision", "SelectionService"]
+
+
+def _structure_key(csr: CSRMatrix) -> bytes:
+    """Cache key of a matrix's whole sparsity structure.
+
+    Hashes the shape and every ``indptr`` and ``indices`` byte.
+    ``MatrixProfile.digest`` hashes only a stride sample of them, so two
+    structures that differ off the sample share it; as a cache key it
+    would serve one matrix the other's features and decision.
+    """
+    h = hashlib.sha256(np.int64(csr.shape).tobytes())
+    h.update(csr.indptr)
+    h.update(csr.indices)
+    return h.digest()
+
 
 #: Selection strategies accepted by :class:`SelectionService`.
 MODES = ("direct", "indirect", "hybrid")
@@ -341,12 +357,8 @@ class SelectionService:
         models' (shared) feature set.
         """
         if isinstance(item, (SparseFormat, CSRMatrix)):
-            from ..gpu.profile import _structure_digest
-
             csr = item if isinstance(item, CSRMatrix) else CSRMatrix.from_coo(item.to_coo())
-            # The digest is a cheap O(nnz) hash of the structure — much
-            # cheaper than the full analysis it lets repeats skip.
-            key = _structure_digest(csr)
+            key = _structure_key(csr)
             if self._feature_cache is not None:
                 cached = self._feature_cache.get(key)
                 if cached is not None:
@@ -519,7 +531,7 @@ class SelectionService:
             if use_sim:
                 # Simulator decisions depend on the full structural
                 # profile (not just the 17 features) and on the backend
-                # device/precision — key them by structure digest.
+                # device/precision — key them by the whole structure.
                 # The vocabulary is part of the key: two configurations
                 # of one base format (e.g. "csr" vs "csr?lanes=8") must
                 # never alias a cached decision, and neither may two
@@ -527,7 +539,7 @@ class SelectionService:
                 dkey = (
                     "dec-sim",
                     generation,
-                    prof.digest,
+                    fkey,
                     self.formats,
                     self.mode,
                     self.tolerance,

@@ -52,6 +52,38 @@ class TestDecide:
         }
         assert d.fmt == min(times, key=times.get)
 
+    def test_fallback_analyses_once(self, setting, monkeypatch):
+        """The fallback probe analyses the matrix once and sums the
+        per-format loop's timings bit for bit."""
+        from repro import analysis
+        from repro.gpu import SimulationError
+
+        ds, matrices, _, base = setting
+        cs = ConfidenceSelector(
+            base, SpMVExecutor(KEPLER_K40C, "single", seed=9),
+            threshold=1.0, top_k=3,
+        ).fit(ds)
+        X = ds.X("set12")
+        matrix = matrices[ds.names[2]]
+        real, calls = analysis.analyze_matrix, []
+        monkeypatch.setattr(
+            analysis, "analyze_matrix", lambda m: calls.append(m) or real(m)
+        )
+        d = cs.decide(matrix, X[2])
+        assert d.probed and len(calls) == 1
+        proba = cs._proba(X[2][None, :])[0]
+        candidates = [ds.formats[i] for i in np.argsort(proba)[::-1][:3]]
+        ref = SpMVExecutor(KEPLER_K40C, "single", seed=9)
+        times, spent = {}, 0.0
+        for fmt in candidates:
+            try:
+                times[fmt] = ref.benchmark(matrix, fmt, reps=cs.probe_reps).seconds
+            except SimulationError:
+                continue
+            spent += times[fmt] * cs.probe_reps
+        assert d.fmt == min(times, key=times.get)
+        assert np.float64(d.probe_seconds).tobytes() == np.float64(spent).tobytes()
+
 
 class TestEvaluate:
     def test_probing_more_cannot_hurt_much(self, setting):

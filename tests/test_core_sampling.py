@@ -3,10 +3,39 @@
 import numpy as np
 import pytest
 
+from repro import analysis
 from repro.core import SamplingSelector, sample_rows
-from repro.formats import FORMAT_NAMES
-from repro.gpu import KEPLER_K40C, SpMVExecutor
+from repro.formats import FORMAT_NAMES, COOMatrix
+from repro.gpu import KEPLER_K40C, SimulationError, SpMVExecutor
 from repro.matrices import banded, power_law
+
+
+def _count_analyses(monkeypatch):
+    """Patch ``analyze_matrix`` to count its calls."""
+    calls = []
+    real = analysis.analyze_matrix
+
+    def counting(matrix):
+        calls.append(matrix)
+        return real(matrix)
+
+    monkeypatch.setattr(analysis, "analyze_matrix", counting)
+    return calls
+
+
+def _per_format_loop(executor, matrix, formats, reps):
+    """Reference: one ``benchmark`` call per format."""
+    out = {}
+    for fmt in formats:
+        try:
+            out[fmt] = executor.benchmark(matrix, fmt, reps=reps).seconds
+        except SimulationError:
+            out[fmt] = None
+    return out
+
+
+def _bits(probe):
+    return {f: None if t is None else np.float64(t).tobytes() for f, t in probe.items()}
 
 
 class TestSampleRows:
@@ -41,6 +70,29 @@ class TestSamplingSelector:
     @pytest.fixture(scope="class")
     def executor(self):
         return SpMVExecutor(KEPLER_K40C, "single", seed=0)
+
+    def test_one_analysis_per_probe(self, monkeypatch):
+        """A probe analyses its sample once and times every format in
+        one sweep, bit for bit the per-format loop; a format that cannot
+        run on the sample is ``None``."""
+        A = power_law(5000, 5000, nnz=100_000, alpha=1.4, seed=0)
+        sel = SamplingSelector(
+            SpMVExecutor(KEPLER_K40C, "single", seed=4, ell_padding_limit=1.2),
+            fraction=0.2, seed=1,
+        )
+        calls = _count_analyses(monkeypatch)
+        probe = sel.probe(A)
+        assert len(calls) == 1
+        assert probe["ell"] is None
+        ref = SpMVExecutor(KEPLER_K40C, "single", seed=4, ell_padding_limit=1.2)
+        sample = sample_rows(A, 0.2, seed=1)
+        assert _bits(probe) == _bits(_per_format_loop(ref, sample, FORMAT_NAMES, 3))
+        assert sel.executor.rng.bit_generator.state == ref.rng.bit_generator.state
+
+    def test_degenerate_format_still_raises(self):
+        sel = SamplingSelector(SpMVExecutor(KEPLER_K40C), fraction=1.0)
+        with pytest.raises(ZeroDivisionError):
+            sel.probe(COOMatrix.empty((12, 9)))
 
     def test_probe_covers_formats(self, executor):
         A = banded(20_000, 20_000, bandwidth=8, fill=1.0, seed=1)

@@ -435,6 +435,32 @@ class TestSimulatorBackend:
         assert again.cached and not first.cached
         assert again.chosen == first.chosen
 
+    def test_caches_key_the_whole_structure(self, selector, simulator):
+        """Two matrices whose structure digests hash the same stride
+        sample of ``indices`` get their own features and decision."""
+        from repro.analysis import analyze_matrix
+        from repro.formats import COOMatrix
+
+        n = 2000
+        rows = np.repeat(np.arange(n), 5)
+        cols = np.tile(np.arange(0, 500, 100), n)
+        changed = cols.copy()
+        changed[1] = 1  # row 0's column 100; the digest's stride skips it
+        a = COOMatrix((n, n), rows, cols, np.ones(rows.size))
+        b = COOMatrix((n, n), rows, changed, np.ones(rows.size))
+        assert analyze_matrix(a).profile.digest == analyze_matrix(b).profile.digest
+        service = SelectionService(selector, simulator=simulator, mode="hybrid")
+        first, second = service.predict(a), service.predict(b)
+        assert not first.cached and not second.cached
+        assert service.stats()["feature_cache"] == {
+            "hits": 0, "misses": 2, "hit_rate": 0.0,
+        }
+        nnzb_tot = ALL_FEATURES.index("nnzb_tot")
+        for m, own in ((a, 10000), (b, 9999)):
+            _, vec, _, hit, _ = service._featurize(m)
+            assert hit and vec[nnzb_tot] == own
+        assert service.predict(b).cached
+
     def test_stats_surface(self, simulator, matrices):
         service = SelectionService(simulator=simulator, mode="indirect")
         service.predict(matrices[0])
